@@ -6,7 +6,8 @@
 //! server library (`crates/serve/src/`, binaries exempt), every
 //! `Instant::now` inside the pure pipeline stages, and every direct
 //! `tempstream_sequitur` reference anywhere in the serve crate —
-//! grammar access goes through `core::engine::AnalysisEngine`.
+//! grammar access goes through `core::engine::AnalysisEngine` — and
+//! every `.transition(` table scan in the two coherence simulators.
 //!
 //! ```text
 //! lint-sources [REPO_ROOT]
@@ -33,7 +34,8 @@ fn main() {
         println!(
             "lint-sources: clean (runtime and serve use the sync shim; \
              stages never read the clock; serve reaches the grammar \
-             only through core::engine)"
+             only through core::engine; simulators never scan a \
+             protocol table)"
         );
         return;
     }

@@ -33,6 +33,11 @@
 //! pipeline, which is exactly the three-way drift the engine refactor
 //! eliminated.
 //!
+//! A fourth rule keeps the simulators' hot path on the protocol
+//! engine's dense table: `crates/coherence/src/multi_chip.rs` and
+//! `single_chip.rs` must not call `.transition(` — the linear scan of a
+//! spec's rows that `ProtocolTable::new` resolves once, up front.
+//!
 //! The scan is deliberately a token scan, not a parse: line comments
 //! are stripped, `#[cfg(test)] mod … { … }` regions are skipped by
 //! brace counting, and the remaining text is searched for the
@@ -86,6 +91,16 @@ const RUNTIME_FORBIDDEN_GROUPED: &[&str] = &["Mutex", "Condvar", "atomic"];
 
 /// Tokens forbidden in the pure pipeline stages.
 const STAGES_FORBIDDEN: &[&str] = &["Instant::now"];
+
+/// Tokens forbidden in the simulators: a per-access
+/// `ProtocolSpec::transition` scan bypasses the engine's dense table.
+const SIMULATOR_FORBIDDEN: &[&str] = &[".transition("];
+
+/// The simulator sources [`SIMULATOR_FORBIDDEN`] applies to.
+const SIMULATOR_FILES: &[&str] = &[
+    "crates/coherence/src/multi_chip.rs",
+    "crates/coherence/src/single_chip.rs",
+];
 
 /// Tokens forbidden anywhere in the serve crate (binaries included):
 /// grammar access goes through `core::engine`, never directly.
@@ -199,6 +214,8 @@ fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) ->
 ///   scan — no direct `tempstream_sequitur` access anywhere in the
 ///   serve crate;
 /// * `crates/core/src/stages.rs`: the wall-clock scan;
+/// * the two simulators in `crates/coherence/src/`: the
+///   `.transition(` scan;
 /// * anything else: exempt.
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintFinding> {
     let normalized = rel_path.replace('\\', "/");
@@ -219,6 +236,9 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintFinding> {
     }
     if normalized == "crates/core/src/stages.rs" {
         return scan(&normalized, source, STAGES_FORBIDDEN, false);
+    }
+    if SIMULATOR_FILES.contains(&normalized.as_str()) {
+        return scan(&normalized, source, SIMULATOR_FORBIDDEN, false);
     }
     Vec::new()
 }
@@ -249,9 +269,11 @@ pub fn lint_tree(repo_root: &Path) -> io::Result<Vec<LintFinding>> {
             walk(&dir, &mut files)?;
         }
     }
-    let stages = repo_root.join("crates/core/src/stages.rs");
-    if stages.is_file() {
-        files.push(stages);
+    for single in std::iter::once(&"crates/core/src/stages.rs").chain(SIMULATOR_FILES) {
+        let path = repo_root.join(single);
+        if path.is_file() {
+            files.push(path);
+        }
     }
     let mut findings = Vec::new();
     for path in files {
@@ -389,9 +411,25 @@ mod tests {
     }
 
     #[test]
+    fn table_scan_in_simulators_fails() {
+        let src = "fn f() { let t = MSI.transition(s, Event::LocalRead); }\n";
+        for path in SIMULATOR_FILES {
+            let findings = lint_file(path, src);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].token, ".transition(");
+        }
+        // The engine itself resolves the table through it, and the
+        // simulators' tests may use it.
+        assert!(lint_file("crates/coherence/src/protocol.rs", src).is_empty());
+        let test_only = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_file(SIMULATOR_FILES[0], &test_only).is_empty());
+    }
+
+    #[test]
     fn real_tree_is_clean() {
         // The actual repo must pass its own lint: the whole runtime
-        // goes through the shim, stages never read the clock.
+        // goes through the shim, stages never read the clock, and the
+        // simulators never scan a protocol table.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let findings = lint_tree(&root).expect("tree readable");
         assert!(

@@ -6,7 +6,8 @@
 //! the block was written by a DMA transfer or OS-to-user bulk memory copy",
 //! and Compulsory "if the corresponding cache block has never previously
 //! been accessed". [`HistoryTracker`] records exactly that per-block
-//! history, parameterized by the *agent* granularity:
+//! history ([`BlockHistory`], one per block), parameterized by the
+//! *agent* granularity:
 //!
 //! - multi-chip off-chip classification: one agent per node;
 //! - single-chip off-chip classification: a single agent (the chip) — which
@@ -19,16 +20,23 @@ use tempstream_trace::{Block, MissClass};
 /// The most recent writer of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Writer {
-    /// A processor-agent store.
-    Agent(u32),
+    /// A processor-agent store. Agents are below 64, so a byte holds the
+    /// id and a [`BlockHistory`] packs into 16 bytes.
+    Agent(u8),
     /// A DMA transfer from an I/O device.
     Dma,
     /// A bulk kernel-to-user copy with non-allocating stores.
     Copyout,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BlockHistory {
+/// One block's read/write history: everything the classification rules
+/// need about the block, for up to 64 agents.
+///
+/// The simulators keep one of these per block inside their own per-block
+/// record, so an access probes one map; [`HistoryTracker`] is the same
+/// history keyed by block.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockHistory {
     last_writer: Option<Writer>,
     /// Bit `a` set: agent `a` has read the block since the last write.
     read_since_write: u64,
@@ -40,13 +48,63 @@ struct BlockHistory {
     cpu_accessed: bool,
 }
 
+impl BlockHistory {
+    /// Classifies a read *miss* by `agent` (below 64).
+    ///
+    /// Call before [`record_read`](Self::record_read) for the same access.
+    /// Classification priority: Compulsory, then I/O Coherence, then
+    /// Coherence, then Replacement.
+    pub fn classify_read(&self, agent: u32) -> MissClass {
+        debug_assert!(agent < 64);
+        if !self.cpu_accessed {
+            return MissClass::Compulsory;
+        }
+        if self.read_since_write & (1 << agent) == 0 {
+            match self.last_writer {
+                Some(Writer::Dma) | Some(Writer::Copyout) => return MissClass::IoCoherence,
+                Some(Writer::Agent(w)) if u32::from(w) != agent => return MissClass::Coherence,
+                _ => {}
+            }
+        }
+        MissClass::Replacement
+    }
+
+    /// Records a read by `agent`.
+    pub fn record_read(&mut self, agent: u32) {
+        debug_assert!(agent < 64);
+        self.read_since_write |= 1 << agent;
+        self.cpu_accessed = true;
+    }
+
+    /// Records a store by `agent`: all other agents' read marks are
+    /// cleared; the writer itself holds the current data.
+    pub fn record_write(&mut self, agent: u32) {
+        debug_assert!(agent < 64);
+        self.last_writer = Some(Writer::Agent(agent as u8));
+        self.read_since_write = 1 << agent;
+        self.cpu_accessed = true;
+    }
+
+    /// Records a DMA write: every agent's read mark is cleared.
+    pub fn record_dma_write(&mut self) {
+        self.last_writer = Some(Writer::Dma);
+        self.read_since_write = 0;
+    }
+
+    /// Records a non-allocating bulk-copy (copyout) store: every agent's
+    /// read mark is cleared.
+    pub fn record_copyout_write(&mut self) {
+        self.last_writer = Some(Writer::Copyout);
+        self.read_since_write = 0;
+    }
+}
+
 /// Tracks per-block read/write history and classifies read misses.
 ///
-/// The block map is consulted on *every* simulated access (hits
-/// included), so it hashes with the in-tree seedless
-/// [`FxHashMap`] — block numbers are simulator-generated, never
-/// attacker-controlled, and the map is only ever probed by key, never
-/// iterated, so hash order cannot leak into results.
+/// The block map hashes with the in-tree seedless [`FxHashMap`] —
+/// block numbers are simulator-generated, never attacker-controlled,
+/// and the map is only ever probed by key, never iterated, so hash
+/// order cannot leak into results.
 #[derive(Debug, Clone)]
 pub struct HistoryTracker {
     num_agents: u32,
@@ -81,76 +139,37 @@ impl HistoryTracker {
         self.blocks.len()
     }
 
-    /// Classifies a read *miss* by `agent` to `block`.
-    ///
-    /// Call before [`record_read`](Self::record_read) for the same access.
-    /// Classification priority: Compulsory, then I/O Coherence, then
-    /// Coherence, then Replacement.
+    /// Classifies a read *miss* by `agent` to `block`; see
+    /// [`BlockHistory::classify_read`].
     pub fn classify_read(&self, agent: u32, block: Block) -> MissClass {
         debug_assert!(agent < self.num_agents);
-        let Some(h) = self.blocks.get(&block) else {
-            return MissClass::Compulsory;
-        };
-        if !h.cpu_accessed {
-            return MissClass::Compulsory;
-        }
-        if h.read_since_write & (1 << agent) == 0 {
-            match h.last_writer {
-                Some(Writer::Dma) | Some(Writer::Copyout) => return MissClass::IoCoherence,
-                Some(Writer::Agent(w)) if w != agent => return MissClass::Coherence,
-                _ => {}
-            }
-        }
-        MissClass::Replacement
+        self.blocks
+            .get(&block)
+            .map_or(MissClass::Compulsory, |h| h.classify_read(agent))
     }
 
     /// Records a read by `agent`.
     pub fn record_read(&mut self, agent: u32, block: Block) {
         debug_assert!(agent < self.num_agents);
-        let h = self.blocks.entry(block).or_insert(BlockHistory {
-            last_writer: None,
-            read_since_write: 0,
-            cpu_accessed: false,
-        });
-        h.read_since_write |= 1 << agent;
-        h.cpu_accessed = true;
+        self.blocks.entry(block).or_default().record_read(agent);
     }
 
     /// Records a store by `agent`: all other agents' read marks are
     /// cleared; the writer itself holds the current data.
     pub fn record_write(&mut self, agent: u32, block: Block) {
         debug_assert!(agent < self.num_agents);
-        let h = self.blocks.entry(block).or_insert(BlockHistory {
-            last_writer: None,
-            read_since_write: 0,
-            cpu_accessed: false,
-        });
-        h.last_writer = Some(Writer::Agent(agent));
-        h.read_since_write = 1 << agent;
-        h.cpu_accessed = true;
+        self.blocks.entry(block).or_default().record_write(agent);
     }
 
     /// Records a DMA write: every agent's read mark is cleared.
     pub fn record_dma_write(&mut self, block: Block) {
-        let h = self.blocks.entry(block).or_insert(BlockHistory {
-            last_writer: None,
-            read_since_write: 0,
-            cpu_accessed: false,
-        });
-        h.last_writer = Some(Writer::Dma);
-        h.read_since_write = 0;
+        self.blocks.entry(block).or_default().record_dma_write();
     }
 
     /// Records a non-allocating bulk-copy (copyout) store: every agent's
     /// read mark is cleared.
     pub fn record_copyout_write(&mut self, block: Block) {
-        let h = self.blocks.entry(block).or_insert(BlockHistory {
-            last_writer: None,
-            read_since_write: 0,
-            cpu_accessed: false,
-        });
-        h.last_writer = Some(Writer::Copyout);
-        h.read_since_write = 0;
+        self.blocks.entry(block).or_default().record_copyout_write();
     }
 }
 
@@ -159,6 +178,13 @@ mod tests {
     use super::*;
 
     const B: Block = Block::new(42);
+
+    #[test]
+    fn block_history_is_16_bytes() {
+        // Every simulated block keeps one (two on the single chip) for
+        // the whole run, so its size is the history's memory footprint.
+        assert_eq!(std::mem::size_of::<BlockHistory>(), 16);
+    }
 
     #[test]
     fn first_access_is_compulsory() {

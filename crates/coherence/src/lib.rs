@@ -16,14 +16,15 @@
 //! Both protocols are *declarative*: [`protocol::MSI`] and
 //! [`protocol::MOSI`] express states, events, and guarded transitions as
 //! static tables, and the simulators advance coherence state only through
-//! the table-driven [`protocol::ProtocolEngine`]. The `tempstream-checker`
+//! the table-driven [`protocol::ProtocolTable`] (directly, or keyed by
+//! block through [`protocol::ProtocolEngine`]). The `tempstream-checker`
 //! crate model-checks the same tables exhaustively (SWMR, single owner,
 //! inclusion/non-inclusion consistency, no stuck states, total coverage),
 //! and `debug_assert!` hooks in the simulators cross-check cache residency
 //! against the table state on every access.
 //!
 //! Miss-cause classification implements the paper's "4 C's"-style rules via
-//! a cache-independent [`history::HistoryTracker`]; see
+//! a cache-independent per-block [`history::BlockHistory`]; see
 //! [`MissClass`](tempstream_trace::MissClass) for the rules.
 
 pub mod events;
@@ -33,11 +34,11 @@ pub mod protocol;
 pub mod single_chip;
 
 pub use events::CoherenceEvents;
-pub use history::HistoryTracker;
+pub use history::{BlockHistory, HistoryTracker};
 pub use multi_chip::{MultiChipConfig, MultiChipSim};
 pub use protocol::{
-    Action, ApplyOutcome, Event, MosiState, MsiState, ProtocolEngine, ProtocolSpec, ProtocolState,
-    Transition, MOSI, MSI,
+    Action, AgentSet, ApplyOutcome, BlockStates, Event, MosiState, MsiState, ProtocolEngine,
+    ProtocolSpec, ProtocolState, ProtocolTable, Transition, MOSI, MSI,
 };
 pub use single_chip::{SingleChipConfig, SingleChipSim};
 

@@ -4,19 +4,23 @@
 //! MSI write-invalidate protocol keeps them coherent (paper §3). Because
 //! every cache is private to its node, every local L2 miss crosses the
 //! interconnect — it is an **off-chip** miss, classified by the
-//! [`HistoryTracker`] rules and appended to the output trace.
+//! [`BlockHistory`] rules and appended to the output trace.
 //!
-//! Coherence state is tracked at node granularity by a [`ProtocolEngine`]
+//! Coherence state is tracked at node granularity by a [`ProtocolTable`]
 //! running the declarative [`MSI`] table: the node hierarchy is inclusive
 //! (an L2 victim back-invalidates the L1), so "node holds a valid MSI
 //! state" and "block is in the node's L2" are the same predicate — which
 //! the simulator `debug_assert!`s at every step. The same table is
 //! model-checked exhaustively by `tempstream-checker`.
+//!
+//! A block's history and its per-node MSI states live in one hashed
+//! `BlockRecord`, so an access probes one map, not two.
 
 use crate::events::CoherenceEvents;
-use crate::history::HistoryTracker;
-use crate::protocol::{Action, Event, MsiState, ProtocolEngine, ProtocolState, MSI};
+use crate::history::BlockHistory;
+use crate::protocol::{Action, BlockStates, Event, MsiState, ProtocolState, ProtocolTable, MSI};
 use tempstream_cache::{CacheConfig, SetAssocCache};
+use tempstream_fxhash::FxHashMap;
 use tempstream_obsv::Registry;
 use tempstream_trace::{AccessKind, Block, MemoryAccess, MissClass, MissRecord, MissTrace};
 
@@ -56,6 +60,27 @@ struct Node {
     l2: SetAssocCache<()>,
 }
 
+/// Everything the simulator knows about one block. Kept for every block
+/// ever accessed (the history must outlive residency); `states` is
+/// vacant while no node holds the block.
+struct BlockRecord {
+    history: BlockHistory,
+    states: BlockStates<MsiState>,
+}
+
+/// The record of `block` in `blocks`, created on first access. A free
+/// function so the caller can keep using the simulator's other fields.
+fn record<'a>(
+    blocks: &'a mut FxHashMap<Block, BlockRecord>,
+    protocol: &ProtocolTable<MsiState>,
+    block: Block,
+) -> &'a mut BlockRecord {
+    blocks.entry(block).or_insert_with(|| BlockRecord {
+        history: BlockHistory::default(),
+        states: protocol.vacant(),
+    })
+}
+
 /// Trace-driven simulator of the multi-chip system.
 ///
 /// Feed accesses with [`access`](Self::access); collect the off-chip miss
@@ -78,12 +103,11 @@ struct Node {
 pub struct MultiChipSim {
     config: MultiChipConfig,
     nodes: Vec<Node>,
-    history: HistoryTracker,
-    /// Per-node MSI states, advanced exclusively by the declarative
-    /// [`MSI`] table. Replaces the old `presence` bitmask *hint* with
-    /// exact sharer tracking: the engine observes every fill, write,
-    /// eviction, and I/O invalidate as an event.
-    engine: ProtocolEngine<MsiState>,
+    /// The declarative [`MSI`] table, the only thing that advances the
+    /// per-node states. It tracks sharers exactly: it observes every
+    /// fill, write, eviction, and I/O invalidate as an event.
+    protocol: ProtocolTable<MsiState>,
+    blocks: FxHashMap<Block, BlockRecord>,
     trace: MissTrace<MissClass>,
     recording: bool,
     events: CoherenceEvents,
@@ -107,8 +131,8 @@ impl MultiChipSim {
                     l2: SetAssocCache::new(config.l2),
                 })
                 .collect(),
-            history: HistoryTracker::new(config.nodes),
-            engine: ProtocolEngine::new(&MSI, config.nodes),
+            protocol: ProtocolTable::new(&MSI, config.nodes),
+            blocks: FxHashMap::default(),
             trace: MissTrace::new(config.nodes),
             recording: true,
             events: CoherenceEvents::default(),
@@ -180,14 +204,8 @@ impl MultiChipSim {
         match a.kind {
             AccessKind::Read => self.read(a, block),
             AccessKind::Write => self.write(a.cpu.raw(), block),
-            AccessKind::DmaWrite => {
-                self.invalidate_all(block);
-                self.history.record_dma_write(block);
-            }
-            AccessKind::CopyoutWrite => {
-                self.invalidate_all(block);
-                self.history.record_copyout_write(block);
-            }
+            AccessKind::DmaWrite => self.invalidate_all(block).record_dma_write(),
+            AccessKind::CopyoutWrite => self.invalidate_all(block).record_copyout_write(),
         }
     }
 
@@ -207,43 +225,45 @@ impl MultiChipSim {
 
     fn read(&mut self, a: &MemoryAccess, block: Block) {
         let n = a.cpu.index();
+        let node = a.cpu.raw();
         debug_assert!(n < self.nodes.len(), "cpu {n} out of range");
+        let rec = record(&mut self.blocks, &self.protocol, block);
         // Differential hook: the inclusive hierarchy makes "valid MSI
         // state" and "present in L2" the same predicate.
         debug_assert_eq!(
-            self.engine.state(a.cpu.raw(), block).is_valid(),
+            rec.states.state(node).is_valid(),
             self.nodes[n].l2.contains(block),
             "node MSI state out of sync with L2 residency"
         );
         if self.nodes[n].l1.touch(block).is_some() {
-            let out = self.engine.apply(a.cpu.raw(), block, Event::LocalRead);
+            let out = self.protocol.step(&mut rec.states, node, Event::LocalRead);
             debug_assert_eq!(out.local.action, Action::Hit, "L1 hit in invalid state");
-            self.history.record_read(a.cpu.raw(), block);
+            rec.history.record_read(node);
             return;
         }
         if self.nodes[n].l2.touch(block).is_some() {
             // L2 hit: fill the L1. Not an off-chip miss. The L1 victim
             // (if any) remains in the inclusive L2 — no protocol event.
-            let out = self.engine.apply(a.cpu.raw(), block, Event::LocalRead);
+            let out = self.protocol.step(&mut rec.states, node, Event::LocalRead);
             debug_assert_eq!(out.local.action, Action::Hit, "L2 hit in invalid state");
             self.nodes[n].l1.insert(block, ());
-            self.history.record_read(a.cpu.raw(), block);
+            rec.history.record_read(node);
             return;
         }
         // Off-chip miss: classify from history, then fill both levels.
         if self.recording {
-            let class = self.history.classify_read(a.cpu.raw(), block);
             self.trace.push(MissRecord {
                 block,
                 cpu: a.cpu,
                 thread: a.thread,
                 function: a.function,
-                class,
+                class: rec.history.classify_read(node),
             });
         }
+        rec.history.record_read(node);
         // Table step: requester I -> S; a remote M node (if any) supplies
         // the data and downgrades to S. Its cached copies stay valid.
-        let out = self.engine.apply(a.cpu.raw(), block, Event::LocalRead);
+        let out = self.protocol.step(&mut rec.states, node, Event::LocalRead);
         debug_assert_eq!(out.local.action, Action::Fill);
         debug_assert!(out.invalidated.is_empty(), "a read never invalidates");
         debug_assert!(
@@ -255,7 +275,6 @@ impl MultiChipSim {
             self.events.supplies += 1;
         }
         self.fill_node(n, block);
-        self.history.record_read(a.cpu.raw(), block);
     }
 
     /// Installs `block` in node `n`'s L2 and L1, back-invalidating the L1
@@ -264,7 +283,11 @@ impl MultiChipSim {
     fn fill_node(&mut self, n: usize, block: Block) {
         if let Some((victim, ())) = self.nodes[n].l2.insert(block, ()) {
             self.nodes[n].l1.invalidate(victim);
-            let out = self.engine.apply(n as u32, victim, Event::Evict);
+            let rec = self
+                .blocks
+                .get_mut(&victim)
+                .expect("an L2-resident block has a record");
+            let out = self.protocol.step(&mut rec.states, n as u32, Event::Evict);
             debug_assert!(
                 matches!(out.local.action, Action::None | Action::WritebackVictim),
                 "L2 eviction of a valid line is silent (S) or a writeback (M)"
@@ -279,11 +302,15 @@ impl MultiChipSim {
 
     fn write(&mut self, node_id: u32, block: Block) {
         // Table step: writer -> M; every valid remote copy is invalidated.
-        let out = self.engine.apply(node_id, block, Event::LocalWrite);
+        let rec = record(&mut self.blocks, &self.protocol, block);
+        let out = self
+            .protocol
+            .step(&mut rec.states, node_id, Event::LocalWrite);
+        rec.history.record_write(node_id);
         self.events.invalidations += out.invalidated.len() as u64;
-        for r in &out.invalidated {
-            self.nodes[*r as usize].l1.invalidate(block);
-            self.nodes[*r as usize].l2.invalidate(block);
+        for r in out.invalidated {
+            self.nodes[r as usize].l1.invalidate(block);
+            self.nodes[r as usize].l2.invalidate(block);
         }
         // Write-allocate in the writer's hierarchy.
         let n = node_id as usize;
@@ -312,15 +339,17 @@ impl MultiChipSim {
         // hold the block.
         debug_assert!((0..self.config.nodes).all(|r| {
             r == node_id
-                || out.invalidated.contains(&r)
+                || out.invalidated.contains(r)
                 || !self.nodes[r as usize].l2.contains(block)
         }));
-        self.history.record_write(node_id, block);
     }
 
-    fn invalidate_all(&mut self, block: Block) {
+    /// Invalidates every node's copy of `block` for a device write and
+    /// returns the block's history for the caller to record the write.
+    fn invalidate_all(&mut self, block: Block) -> &mut BlockHistory {
         self.events.io_invalidates += 1;
-        for r in self.engine.apply_io_invalidate(block) {
+        let rec = record(&mut self.blocks, &self.protocol, block);
+        for r in self.protocol.step_io_invalidate(&mut rec.states) {
             self.nodes[r as usize].l1.invalidate(block);
             self.nodes[r as usize].l2.invalidate(block);
         }
@@ -330,6 +359,7 @@ impl MultiChipSim {
             .nodes
             .iter()
             .all(|node| !node.l1.contains(block) && !node.l2.contains(block)));
+        &mut rec.history
     }
 }
 

@@ -5,7 +5,8 @@
 //! paper §3) protocols are expressed as *data*: per-block cache states,
 //! events, and guarded transitions in [`ProtocolSpec`] tables ([`MSI`],
 //! [`MOSI`]). The simulators do not hard-code any state logic — they feed
-//! events into a [`ProtocolEngine`] that looks every step up in the table,
+//! events into a [`ProtocolTable`] (directly, or keyed by block through a
+//! [`ProtocolEngine`]) that looks every step up in the table,
 //! and they act on the returned [`Action`]s (who to invalidate, who
 //! supplies data, whether a victim writes back). The `tempstream-checker`
 //! crate model-checks the same tables exhaustively, so the traces the
@@ -307,6 +308,65 @@ pub static MOSI: ProtocolSpec<MosiState> = {
     }
 };
 
+/// A set of agents (caches) as a bitmask: agent `i` is bit `i`.
+///
+/// The engine supports at most 32 agents, so a set is one `u32` and
+/// reporting it never allocates. Iteration yields agents in ascending
+/// order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct AgentSet(u32);
+
+impl AgentSet {
+    /// The empty set.
+    pub const EMPTY: AgentSet = AgentSet(0);
+
+    /// Whether `agent` is a member.
+    pub fn contains(self, agent: u32) -> bool {
+        agent < 32 && self.0 & (1 << agent) != 0
+    }
+
+    /// Number of members.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members, in ascending order.
+    pub fn iter(self) -> AgentSetIter {
+        AgentSetIter(self.0)
+    }
+}
+
+impl IntoIterator for AgentSet {
+    type Item = u32;
+    type IntoIter = AgentSetIter;
+
+    fn into_iter(self) -> AgentSetIter {
+        self.iter()
+    }
+}
+
+/// Ascending iterator over an [`AgentSet`].
+#[derive(Debug, Clone)]
+pub struct AgentSetIter(u32);
+
+impl Iterator for AgentSetIter {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
+        }
+        let agent = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(agent)
+    }
+}
+
 /// Result of applying a local event: the local transition taken plus the
 /// peers whose copies the event invalidated.
 #[derive(Debug)]
@@ -315,83 +375,142 @@ pub struct ApplyOutcome<S: 'static> {
     pub local: &'static Transition<S>,
     /// Peers that went from valid to invalid (the simulator must drop
     /// their cached lines).
-    pub invalidated: Vec<u32>,
+    pub invalidated: AgentSet,
     /// The peer that supplied the data, if any (it held M or O).
     pub supplier: Option<u32>,
 }
 
-/// Table-driven tracker of one protocol's per-block, per-cache states.
-///
-/// The engine is the *only* component that advances coherence state in
-/// the simulators; every step is a table lookup, so the imperative
-/// simulators cannot diverge from the checked tables.
-#[derive(Debug)]
-pub struct ProtocolEngine<S: ProtocolState> {
-    spec: &'static ProtocolSpec<S>,
-    agents: u32,
-    /// Per-block agent states; absent entry = all agents in `initial`.
-    /// Entries whose agents are all invalid are dropped to keep the map
-    /// bounded by live sharing, not footprint.
-    states: FxHashMap<Block, Vec<S>>,
+/// One block's per-agent protocol states, stored inline: no allocation
+/// per block. Agent `i`'s state is `states[i]`, and bit `i` of `valid`
+/// is set exactly when that state is valid, so every agent outside the
+/// mask holds the spec's `initial` state.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockStates<S> {
+    states: [S; 32],
+    valid: u32,
 }
 
-impl<S: ProtocolState> ProtocolEngine<S> {
-    /// Creates an engine for `agents` caches, all blocks Invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `agents` is zero or greater than 32.
-    pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
-        assert!((1..=32).contains(&agents), "agent count must be in 1..=32");
-        ProtocolEngine {
-            spec,
-            agents,
-            states: FxHashMap::default(),
-        }
-    }
-
-    /// The protocol table this engine runs.
-    pub fn spec(&self) -> &'static ProtocolSpec<S> {
-        self.spec
-    }
-
-    /// The state `agent` holds `block` in.
-    pub fn state(&self, agent: u32, block: Block) -> S {
-        debug_assert!(agent < self.agents);
-        self.states
-            .get(&block)
-            .map_or(self.spec.initial, |v| v[agent as usize])
+impl<S: ProtocolState> BlockStates<S> {
+    /// The state `agent` holds the block in.
+    pub fn state(&self, agent: u32) -> S {
+        self.states[agent as usize]
     }
 
     /// The agent owning the block (M or O state), if any.
-    pub fn owner(&self, block: Block) -> Option<u32> {
-        let v = self.states.get(&block)?;
-        v.iter().position(|s| s.is_owner()).map(|i| i as u32)
+    fn owner(&self) -> Option<u32> {
+        AgentSet(self.valid)
+            .iter()
+            .find(|&i| self.states[i as usize].is_owner())
     }
 
     /// Whether any agent other than `agent` holds a valid copy.
-    pub fn other_valid(&self, agent: u32, block: Block) -> bool {
-        self.states.get(&block).is_some_and(|v| {
-            v.iter()
-                .enumerate()
-                .any(|(i, s)| i as u32 != agent && s.is_valid())
-        })
+    fn other_valid(&self, agent: u32) -> bool {
+        self.valid & !(1 << agent) != 0
     }
 
-    /// Number of distinct blocks with at least one valid copy.
-    pub fn live_blocks(&self) -> usize {
-        self.states.len()
+    fn set(&mut self, agent: u32, state: S) {
+        self.states[agent as usize] = state;
+        if state.is_valid() {
+            self.valid |= 1 << agent;
+        } else {
+            self.valid &= !(1 << agent);
+        }
+    }
+}
+
+/// A [`ProtocolSpec`] compiled for a fixed number of agents: the rules
+/// that advance one block's [`BlockStates`].
+///
+/// [`new`](Self::new) resolves every `(state, event)` pair of the spec
+/// once into a dense table, so a step is an index, not a scan of the
+/// transition rows, and a table hole fails at construction. An induced
+/// event (a peer's remote read or write, or an I/O invalidate) visits
+/// only the agents holding a valid copy when the table itself makes
+/// that event a no-op in `initial` (`(initial, e) → (initial, None)`);
+/// otherwise it visits every agent.
+#[derive(Debug)]
+pub struct ProtocolTable<S: ProtocolState> {
+    spec: &'static ProtocolSpec<S>,
+    agents: u32,
+    /// `table[state.index() * Event::ALL.len() + event as usize]`;
+    /// `None` for a pair the spec declares impossible.
+    table: Box<[Option<&'static Transition<S>>]>,
+    /// Per event: agents in `initial` may be skipped because the table
+    /// maps `(initial, event)` to `(initial, Action::None)`.
+    skip_initial: [bool; Event::ALL.len()],
+}
+
+impl<S: ProtocolState> ProtocolTable<S> {
+    /// Compiles `spec` for `agents` caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `agents` is zero or greater than 32, if the spec has a
+    /// table hole (a `(state, event)` pair neither handled nor declared
+    /// impossible), if a state's [`ProtocolState::index`] is not its
+    /// position in `spec.states`, or if `initial` is not the spec's only
+    /// invalid state (the valid mask stands for every other agent).
+    pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
+        assert!((1..=32).contains(&agents), "agent count must be in 1..=32");
+        let mut table = Vec::with_capacity(spec.states.len() * Event::ALL.len());
+        for (i, &s) in spec.states.iter().enumerate() {
+            assert_eq!(s.index(), i, "{}: {s:?} index out of order", spec.name);
+            assert_eq!(
+                s.is_valid(),
+                s != spec.initial,
+                "{}: the initial state must be the only invalid state",
+                spec.name
+            );
+            for e in Event::ALL {
+                table.push(spec.transition(s, e));
+            }
+        }
+        let skip_initial = Event::ALL.map(|e| {
+            spec.transition(spec.initial, e)
+                .is_some_and(|t| t.to == spec.initial && t.action == Action::None)
+        });
+        ProtocolTable {
+            spec,
+            agents,
+            table: table.into_boxed_slice(),
+            skip_initial,
+        }
+    }
+
+    /// A block no agent has loaded: every agent in `initial`.
+    pub fn vacant(&self) -> BlockStates<S> {
+        BlockStates {
+            states: [self.spec.initial; 32],
+            valid: 0,
+        }
+    }
+
+    /// The transition for `(state, event)`, or `None` if the pair is
+    /// declared impossible. `Event::ALL` lists the events in declaration
+    /// order, so `event as usize` is its position.
+    fn lookup(&self, state: S, event: Event) -> Option<&'static Transition<S>> {
+        self.table[state.index() * Event::ALL.len() + event as usize]
+    }
+
+    /// The agents an induced `event` must visit besides the valid ones:
+    /// none when the table makes `event` a no-op in `initial`, else all.
+    fn idle_agents(&self, event: Event) -> u32 {
+        if self.skip_initial[event as usize] {
+            0
+        } else {
+            u32::MAX >> (32 - self.agents)
+        }
     }
 
     /// Applies `event` at `agent` and the induced remote event at every
-    /// other agent, all by table lookup.
+    /// other agent of block `b`, all by table lookup.
     ///
     /// # Panics
     ///
     /// Panics if the table declares any implied `(state, event)` pair
     /// impossible — i.e. the simulator drove the protocol into a state
     /// the tables forbid.
-    pub fn apply(&mut self, agent: u32, block: Block, event: Event) -> ApplyOutcome<S> {
+    pub fn step(&self, b: &mut BlockStates<S>, agent: u32, event: Event) -> ApplyOutcome<S> {
         debug_assert!(agent < self.agents);
         let remote = match event {
             Event::LocalRead => Some(Event::RemoteRead),
@@ -401,44 +520,31 @@ impl<S: ProtocolState> ProtocolEngine<S> {
                 panic!("remote events are induced, not applied directly")
             }
         };
-        let agents = self.agents as usize;
-        let v = self
-            .states
-            .entry(block)
-            .or_insert_with(|| vec![self.spec.initial; agents]);
-        let local = self
-            .spec
-            .transition(v[agent as usize], event)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{}: ({:?}, {event:?}) at agent {agent} is declared impossible",
-                    self.spec.name, v[agent as usize]
-                )
-            });
-        v[agent as usize] = local.to;
-        let mut invalidated = Vec::new();
+        let from = b.states[agent as usize];
+        let local = self.lookup(from, event).unwrap_or_else(|| {
+            panic!(
+                "{}: ({from:?}, {event:?}) at agent {agent} is declared impossible",
+                self.spec.name
+            )
+        });
+        b.set(agent, local.to);
+        let mut invalidated = AgentSet::EMPTY;
         let mut supplier = None;
         if let Some(remote) = remote {
-            for (i, s) in v.iter_mut().enumerate() {
-                if i as u32 == agent {
-                    continue;
-                }
+            for i in AgentSet((b.valid | self.idle_agents(remote)) & !(1 << agent)) {
+                let s = b.states[i as usize];
                 let t = self
-                    .spec
-                    .transition(*s, remote)
+                    .lookup(s, remote)
                     .expect("remote events must be total over all states");
                 if t.action == Action::SupplyToPeer {
                     debug_assert!(supplier.is_none(), "two suppliers for one block");
-                    supplier = Some(i as u32);
+                    supplier = Some(i);
                 }
                 if s.is_valid() && !t.to.is_valid() {
-                    invalidated.push(i as u32);
+                    invalidated.0 |= 1 << i;
                 }
-                *s = t.to;
+                b.set(i, t.to);
             }
-        }
-        if v.iter().all(|s| !s.is_valid()) {
-            self.states.remove(&block);
         }
         ApplyOutcome {
             local,
@@ -447,24 +553,107 @@ impl<S: ProtocolState> ProtocolEngine<S> {
         }
     }
 
-    /// Applies an [`Event::IoInvalidate`] to every agent, returning the
-    /// agents that held valid copies.
-    pub fn apply_io_invalidate(&mut self, block: Block) -> Vec<u32> {
-        let Some(v) = self.states.get_mut(&block) else {
-            return Vec::new();
-        };
-        let mut dropped = Vec::new();
-        for (i, s) in v.iter_mut().enumerate() {
+    /// Applies an [`Event::IoInvalidate`] to every agent of block `b`,
+    /// returning the agents that held valid copies.
+    pub fn step_io_invalidate(&self, b: &mut BlockStates<S>) -> AgentSet {
+        let mut dropped = AgentSet::EMPTY;
+        for i in AgentSet(b.valid | self.idle_agents(Event::IoInvalidate)) {
+            let s = b.states[i as usize];
             let t = self
-                .spec
-                .transition(*s, Event::IoInvalidate)
+                .lookup(s, Event::IoInvalidate)
                 .expect("IoInvalidate must be total over all states");
             if s.is_valid() && !t.to.is_valid() {
-                dropped.push(i as u32);
+                dropped.0 |= 1 << i;
             }
-            *s = t.to;
+            b.set(i, t.to);
         }
-        if v.iter().all(|s| !s.is_valid()) {
+        dropped
+    }
+}
+
+/// Table-driven tracker of one protocol's per-block, per-cache states:
+/// a [`ProtocolTable`] plus a map from block to [`BlockStates`].
+///
+/// The table is the *only* component that advances coherence state in
+/// the simulators; every step is a table lookup, so the imperative
+/// simulators cannot diverge from the checked tables. A simulator that
+/// already keeps a per-block record embeds [`BlockStates`] in it and
+/// steps it with the [`ProtocolTable`] directly.
+#[derive(Debug)]
+pub struct ProtocolEngine<S: ProtocolState> {
+    table: ProtocolTable<S>,
+    /// Per-block agent states; absent entry = all agents in `initial`.
+    /// Entries whose agents are all invalid are dropped to keep the map
+    /// bounded by live sharing, not footprint.
+    states: FxHashMap<Block, BlockStates<S>>,
+}
+
+impl<S: ProtocolState> ProtocolEngine<S> {
+    /// Creates an engine for `agents` caches, all blocks Invalid.
+    ///
+    /// # Panics
+    ///
+    /// As [`ProtocolTable::new`]: a bad agent count or a malformed spec
+    /// (a table hole included) fails here, not on first use.
+    pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
+        ProtocolEngine {
+            table: ProtocolTable::new(spec, agents),
+            states: FxHashMap::default(),
+        }
+    }
+
+    /// The state `agent` holds `block` in.
+    pub fn state(&self, agent: u32, block: Block) -> S {
+        debug_assert!(agent < self.table.agents);
+        self.states
+            .get(&block)
+            .map_or(self.table.spec.initial, |b| b.state(agent))
+    }
+
+    /// The agent owning the block (M or O state), if any.
+    pub fn owner(&self, block: Block) -> Option<u32> {
+        self.states.get(&block)?.owner()
+    }
+
+    /// Whether any agent other than `agent` holds a valid copy.
+    pub fn other_valid(&self, agent: u32, block: Block) -> bool {
+        self.states
+            .get(&block)
+            .is_some_and(|b| b.other_valid(agent))
+    }
+
+    /// Number of distinct blocks with at least one valid copy.
+    pub fn live_blocks(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Applies `event` at `agent` and the induced remote event at every
+    /// other agent; see [`ProtocolTable::step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table declares any implied `(state, event)` pair
+    /// impossible.
+    pub fn apply(&mut self, agent: u32, block: Block, event: Event) -> ApplyOutcome<S> {
+        let b = self
+            .states
+            .entry(block)
+            .or_insert_with(|| self.table.vacant());
+        let out = self.table.step(b, agent, event);
+        if b.valid == 0 {
+            self.states.remove(&block);
+        }
+        out
+    }
+
+    /// Applies an [`Event::IoInvalidate`] to every agent, returning the
+    /// agents that held valid copies.
+    pub fn apply_io_invalidate(&mut self, block: Block) -> AgentSet {
+        let Some(b) = self.states.get_mut(&block) else {
+            return AgentSet::EMPTY;
+        };
+        let dropped = self.table.step_io_invalidate(b);
+        if b.valid == 0 {
             self.states.remove(&block);
         }
         dropped
@@ -499,12 +688,30 @@ mod tests {
     }
 
     #[test]
+    fn event_discriminants_follow_all() {
+        // The dense table indexes events by `event as usize`.
+        for (i, e) in Event::ALL.into_iter().enumerate() {
+            assert_eq!(e as usize, i, "{e:?}");
+        }
+    }
+
+    #[test]
+    fn agent_set_iterates_ascending() {
+        let set = AgentSet(1 << 31 | 1 << 5 | 1);
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(31) && set.contains(0) && !set.contains(1));
+        assert!(!set.contains(32));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 5, 31]);
+        assert!(AgentSet::EMPTY.is_empty());
+    }
+
+    #[test]
     fn msi_write_invalidates_sharers() {
         let mut e = ProtocolEngine::new(&MSI, 4);
         e.apply(0, B, Event::LocalRead);
         e.apply(1, B, Event::LocalRead);
         let out = e.apply(2, B, Event::LocalWrite);
-        assert_eq!(out.invalidated, vec![0, 1]);
+        assert_eq!(out.invalidated.iter().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(e.state(2, B), MsiState::M);
         assert_eq!(e.owner(B), Some(2));
     }
@@ -538,7 +745,7 @@ mod tests {
         assert_eq!(e.live_blocks(), 1);
         e.apply(0, B, Event::Evict);
         assert_eq!(e.live_blocks(), 0, "all-invalid block must be dropped");
-        assert_eq!(e.apply_io_invalidate(B), Vec::<u32>::new());
+        assert_eq!(e.apply_io_invalidate(B), AgentSet::EMPTY);
     }
 
     #[test]
@@ -546,7 +753,10 @@ mod tests {
         let mut e = ProtocolEngine::new(&MSI, 3);
         e.apply(0, B, Event::LocalRead);
         e.apply(1, B, Event::LocalRead);
-        assert_eq!(e.apply_io_invalidate(B), vec![0, 1]);
+        assert_eq!(
+            e.apply_io_invalidate(B).iter().collect::<Vec<_>>(),
+            vec![0, 1]
+        );
         assert_eq!(e.live_blocks(), 0);
     }
 

@@ -24,9 +24,10 @@
 //!   trace, mirroring Figure 1 (right)'s "Off-chip" segment.
 
 use crate::events::CoherenceEvents;
-use crate::history::HistoryTracker;
+use crate::history::BlockHistory;
 use crate::protocol::{Action, Event, MosiState, ProtocolEngine, ProtocolState, MOSI};
 use tempstream_cache::{CacheConfig, SetAssocCache};
+use tempstream_fxhash::FxHashMap;
 use tempstream_obsv::Registry;
 use tempstream_trace::{
     AccessKind, Block, IntraChipClass, MemoryAccess, MissClass, MissRecord, MissTrace,
@@ -72,6 +73,23 @@ pub struct SingleChipTraces {
     pub intra_chip: MissTrace<IntraChipClass>,
 }
 
+/// A block's history at both classification granularities, kept in one
+/// hashed record so an access probes one history map, not two.
+#[derive(Default)]
+struct BlockHistories {
+    /// Chip granularity, agent 0 (off-chip classification).
+    chip: BlockHistory,
+    /// Core granularity (intra-chip cause classification).
+    core: BlockHistory,
+}
+
+impl BlockHistories {
+    fn record_read(&mut self, core: u32) {
+        self.chip.record_read(0);
+        self.core.record_read(core);
+    }
+}
+
 /// Trace-driven simulator of the single-chip system.
 ///
 /// # Example
@@ -96,12 +114,12 @@ pub struct SingleChipSim {
     /// Per-core MOSI states, advanced exclusively by the declarative
     /// [`MOSI`] table. Ownership (M/O) queries replace the old ad-hoc
     /// `owner` map, so stale-owner bugs are structurally impossible: the
-    /// engine observes every eviction and invalidation as an event.
+    /// engine observes every eviction and invalidation as an event. It
+    /// tracks L1 copies only, so its map stays small and apart from the
+    /// footprint-sized history map.
     engine: ProtocolEngine<MosiState>,
-    /// Chip-granularity history (off-chip classification).
-    chip_history: HistoryTracker,
-    /// Core-granularity history (intra-chip cause classification).
-    core_history: HistoryTracker,
+    /// Per-block history, for every block ever accessed.
+    histories: FxHashMap<Block, BlockHistories>,
     off_chip: MissTrace<MissClass>,
     intra_chip: MissTrace<IntraChipClass>,
     recording: bool,
@@ -125,8 +143,7 @@ impl SingleChipSim {
                 .collect(),
             l2: SetAssocCache::new(config.l2),
             engine: ProtocolEngine::new(&MOSI, config.cores),
-            chip_history: HistoryTracker::new(1),
-            core_history: HistoryTracker::new(config.cores),
+            histories: FxHashMap::default(),
             off_chip: MissTrace::new(config.cores),
             intra_chip: MissTrace::new(config.cores),
             recording: true,
@@ -215,13 +232,15 @@ impl SingleChipSim {
             AccessKind::Write => self.write(a.cpu.raw(), block),
             AccessKind::DmaWrite => {
                 self.invalidate_chip(block);
-                self.chip_history.record_dma_write(block);
-                self.core_history.record_dma_write(block);
+                let h = self.histories.entry(block).or_default();
+                h.chip.record_dma_write();
+                h.core.record_dma_write();
             }
             AccessKind::CopyoutWrite => {
                 self.invalidate_chip(block);
-                self.chip_history.record_copyout_write(block);
-                self.core_history.record_copyout_write(block);
+                let h = self.histories.entry(block).or_default();
+                h.chip.record_copyout_write();
+                h.core.record_copyout_write();
             }
         }
     }
@@ -243,19 +262,15 @@ impl SingleChipSim {
         }
     }
 
-    fn record_reads(&mut self, core: u32, block: Block) {
-        self.chip_history.record_read(0, block);
-        self.core_history.record_read(core, block);
-    }
-
     fn read(&mut self, a: &MemoryAccess, block: Block) {
         let core = a.cpu.raw();
         debug_assert!((core as usize) < self.l1s.len(), "core {core} out of range");
+        let history = self.histories.entry(block).or_default();
         if self.l1s[core as usize].touch(block).is_some() {
             // Differential hook: an L1 hit must be a table-level Hit.
             let out = self.engine.apply(core, block, Event::LocalRead);
             debug_assert_eq!(out.local.action, Action::Hit, "L1 hit in invalid state");
-            self.record_reads(core, block);
+            history.record_read(core);
             return;
         }
         // Differential hook: L1 residency and table state agree.
@@ -266,7 +281,7 @@ impl SingleChipSim {
 
         // L1 miss: classify the cause at core granularity, then find the
         // responder from the protocol state.
-        let cause = self.core_history.classify_read(core, block);
+        let cause = history.core.classify_read(core);
         let coherence_cause = cause == MissClass::Coherence;
 
         let peer_owner = self.engine.owner(block);
@@ -306,7 +321,7 @@ impl SingleChipSim {
         if !on_chip {
             // Off-chip miss, classified at chip granularity.
             if self.recording {
-                let class = self.chip_history.classify_read(0, block);
+                let class = history.chip.classify_read(0);
                 debug_assert_ne!(
                     class,
                     MissClass::Coherence,
@@ -323,6 +338,7 @@ impl SingleChipSim {
             // Fill L2 and the requesting L1.
             self.l2.insert(block, ());
         }
+        history.record_read(core);
 
         // Table step: requester I -> S; a dirty peer (if any) supplies the
         // data and downgrades M -> O.
@@ -338,7 +354,6 @@ impl SingleChipSim {
         // Fill the requesting L1 (data came from a peer, the L2, or
         // memory); install the L1 victim into the non-inclusive L2.
         self.fill_l1(core, block);
-        self.record_reads(core, block);
     }
 
     fn fill_l1(&mut self, core: u32, block: Block) {
@@ -374,8 +389,8 @@ impl SingleChipSim {
         // Table step: writer -> M; every valid peer copy is invalidated.
         let out = self.engine.apply(core, block, Event::LocalWrite);
         self.events.invalidations += out.invalidated.len() as u64;
-        for c in &out.invalidated {
-            self.l1s[*c as usize].invalidate(block);
+        for c in out.invalidated {
+            self.l1s[c as usize].invalidate(block);
         }
         match out.local.action {
             Action::InvalidateSharers => {
@@ -396,10 +411,11 @@ impl SingleChipSim {
         // Differential hook: peers the table did not invalidate must not
         // hold the block.
         debug_assert!((0..self.config.cores).all(|c| {
-            c == core || out.invalidated.contains(&c) || !self.l1s[c as usize].contains(block)
+            c == core || out.invalidated.contains(c) || !self.l1s[c as usize].contains(block)
         }));
-        self.chip_history.record_write(0, block);
-        self.core_history.record_write(core, block);
+        let history = self.histories.entry(block).or_default();
+        history.chip.record_write(0);
+        history.core.record_write(core);
     }
 
     fn invalidate_chip(&mut self, block: Block) {

@@ -1,10 +1,16 @@
-//! Randomized property tests of the memory-system simulators over random
-//! access streams, generated by the in-tree seeded PRNG.
+//! Randomized property tests of the memory-system simulators and their
+//! protocol engine over random access and event streams, generated by
+//! the in-tree seeded PRNG.
 
-use tempstream_coherence::{MultiChipConfig, MultiChipSim, SingleChipConfig, SingleChipSim};
+use std::collections::HashMap;
+use tempstream_coherence::{
+    Event, MultiChipConfig, MultiChipSim, ProtocolEngine, ProtocolSpec, ProtocolState,
+    SingleChipConfig, SingleChipSim, Transition, MOSI, MSI,
+};
 use tempstream_trace::rng::SmallRng;
 use tempstream_trace::{
-    AccessKind, Address, CpuId, FunctionId, IntraChipClass, MemoryAccess, MissClass, ThreadId,
+    AccessKind, Address, Block, CpuId, FunctionId, IntraChipClass, MemoryAccess, MissClass,
+    ThreadId,
 };
 
 /// A compact random-access description: (kind, cpu, block).
@@ -306,4 +312,177 @@ fn write_sets_owner_immediately() {
             "writer must own the block immediately after its store"
         );
     }
+}
+
+/// The straightforward engine the dense one must agree with: one
+/// `Vec` of states per block, every step a `ProtocolSpec::transition`
+/// scan, and every induced event applied to every other agent.
+struct ReferenceEngine<S: ProtocolState> {
+    spec: &'static ProtocolSpec<S>,
+    agents: u32,
+    states: HashMap<Block, Vec<S>>,
+}
+
+/// What one reference step reports: the local transition, the
+/// invalidated peers in ascending order, and the supplier.
+type RefOutcome<S> = (&'static Transition<S>, Vec<u32>, Option<u32>);
+
+impl<S: ProtocolState> ReferenceEngine<S> {
+    fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
+        ReferenceEngine {
+            spec,
+            agents,
+            states: HashMap::new(),
+        }
+    }
+
+    fn state(&self, agent: u32, block: Block) -> S {
+        self.states
+            .get(&block)
+            .map_or(self.spec.initial, |v| v[agent as usize])
+    }
+
+    fn apply(&mut self, agent: u32, block: Block, event: Event) -> RefOutcome<S> {
+        let remote = match event {
+            Event::LocalRead => Some(Event::RemoteRead),
+            Event::LocalWrite => Some(Event::RemoteWrite),
+            _ => None,
+        };
+        let v = self
+            .states
+            .entry(block)
+            .or_insert_with(|| vec![self.spec.initial; self.agents as usize]);
+        let local = self
+            .spec
+            .transition(v[agent as usize], event)
+            .expect("reference step is possible");
+        v[agent as usize] = local.to;
+        let mut invalidated = Vec::new();
+        let mut supplier = None;
+        if let Some(remote) = remote {
+            for (i, s) in v.iter_mut().enumerate() {
+                if i as u32 == agent {
+                    continue;
+                }
+                let t = self.spec.transition(*s, remote).expect("total");
+                if t.action == tempstream_coherence::Action::SupplyToPeer {
+                    supplier = Some(i as u32);
+                }
+                if s.is_valid() && !t.to.is_valid() {
+                    invalidated.push(i as u32);
+                }
+                *s = t.to;
+            }
+        }
+        if v.iter().all(|s| !s.is_valid()) {
+            self.states.remove(&block);
+        }
+        (local, invalidated, supplier)
+    }
+
+    fn apply_io_invalidate(&mut self, block: Block) -> Vec<u32> {
+        let Some(v) = self.states.get_mut(&block) else {
+            return Vec::new();
+        };
+        let mut dropped = Vec::new();
+        for (i, s) in v.iter_mut().enumerate() {
+            let t = self
+                .spec
+                .transition(*s, Event::IoInvalidate)
+                .expect("total");
+            if s.is_valid() && !t.to.is_valid() {
+                dropped.push(i as u32);
+            }
+            *s = t.to;
+        }
+        if v.iter().all(|s| !s.is_valid()) {
+            self.states.remove(&block);
+        }
+        dropped
+    }
+}
+
+/// Drives the dense engine and the reference with one seeded random
+/// event stream and compares everything observable after every step.
+fn engines_agree<S: ProtocolState>(spec: &'static ProtocolSpec<S>, agents: u32, seed: u64) {
+    const BLOCKS: u64 = 12;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut engine = ProtocolEngine::new(spec, agents);
+    let mut reference = ReferenceEngine::new(spec, agents);
+    for step in 0..2000 {
+        let agent = rng.gen_range(0..agents);
+        let block = Block::new(rng.gen_range(0..BLOCKS));
+        let ctx = || format!("{} x{agents} seed {seed:#x} step {step}", spec.name);
+        match rng.gen_range(0..10u32) {
+            0 => {
+                let got = engine.apply_io_invalidate(block);
+                let want = reference.apply_io_invalidate(block);
+                assert_eq!(got.iter().collect::<Vec<_>>(), want, "{}", ctx());
+            }
+            k => {
+                let event = match k {
+                    1..=5 => Event::LocalRead,
+                    6..=7 => Event::LocalWrite,
+                    // Evicting an invalid line is impossible in both.
+                    _ if reference.state(agent, block).is_valid() => Event::Evict,
+                    _ => Event::LocalRead,
+                };
+                let got = engine.apply(agent, block, event);
+                let (local, invalidated, supplier) = reference.apply(agent, block, event);
+                assert_eq!(*got.local, *local, "{}", ctx());
+                assert_eq!(
+                    got.invalidated.iter().collect::<Vec<_>>(),
+                    invalidated,
+                    "{}",
+                    ctx()
+                );
+                assert_eq!(got.supplier, supplier, "{}", ctx());
+            }
+        }
+        assert_eq!(engine.live_blocks(), reference.states.len(), "{}", ctx());
+        for b in 0..BLOCKS {
+            let b = Block::new(b);
+            for a in 0..agents {
+                assert_eq!(engine.state(a, b), reference.state(a, b), "{}", ctx());
+            }
+            let owner = (0..agents).find(|&a| reference.state(a, b).is_owner());
+            assert_eq!(engine.owner(b), owner, "{}", ctx());
+        }
+        let others = (0..agents).any(|a| a != agent && reference.state(a, block).is_valid());
+        assert_eq!(engine.other_valid(agent, block), others, "{}", ctx());
+    }
+}
+
+/// The dense-table, valid-peer engine is observably identical to the
+/// per-agent table scan, for both protocols and every agent count the
+/// simulators use — including 32, where the mask's top bit is live.
+#[test]
+fn dense_engine_matches_reference_engine() {
+    for agents in [1, 2, 4, 16, 32] {
+        for seed in 0..2u64 {
+            engines_agree(&MSI, agents, 0xd1ff_0000 + seed);
+            engines_agree(&MOSI, agents, 0xd1ff_1000 + seed);
+        }
+    }
+}
+
+/// A table hole is reported when the engine is built, not on the first
+/// access that happens to reach it.
+#[test]
+#[should_panic(expected = "table hole")]
+fn table_hole_fails_at_construction() {
+    let rows: Vec<Transition<_>> = MSI
+        .transitions
+        .iter()
+        .copied()
+        .filter(|t| !(t.from == tempstream_coherence::MsiState::S && t.event == Event::RemoteWrite))
+        .collect();
+    let spec: &'static ProtocolSpec<_> = Box::leak(Box::new(ProtocolSpec {
+        name: "MSI-with-hole",
+        states: MSI.states,
+        initial: MSI.initial,
+        transitions: Box::leak(rows.into_boxed_slice()),
+        impossible: MSI.impossible,
+    }));
+    let _ = ProtocolEngine::new(spec, 2);
 }
