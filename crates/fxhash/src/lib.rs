@@ -233,8 +233,8 @@ mod tests {
 
     #[test]
     fn tuple_keys_hash_deterministically() {
-        // The Sequitur digram key shape: a pair of enum payloads. Two
-        // independently-built hashers must agree.
+        // Tuple keys, like the pair of packed symbol words the Sequitur
+        // digram index hashes: two independently-built hashers must agree.
         let k = (0xdead_beefu64, 0x1234u32, 7u8);
         let b1 = FxBuildHasher::default();
         let b2 = FxBuildHasher::default();

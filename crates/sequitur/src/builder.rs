@@ -4,35 +4,94 @@
 //! Nevill-Manning (symbol nodes in doubly-linked rule bodies, one guard node
 //! per rule, and a digram hash table), including the subtle re-indexing
 //! fix-ups for runs of identical symbols ("triples") in `join`.
+//!
+//! # Layout
+//!
+//! A symbol is one tagged word ([`Sym`]): the top two bits say terminal,
+//! non-terminal, guard or freed, and the low 62 bits carry the terminal
+//! value or rule id. A body node is `{prev, next, sym}` in 16 bytes, kept
+//! in one arena (`Vec<Node>`) with a free list and `u32` ids. The digram
+//! index is keyed by the two symbol words of a digram (see
+//! [`DigramIndex`]).
 
 use crate::grammar::{Grammar, GrammarSymbol, RuleId};
-use std::collections::HashMap;
+use crate::index::{DigramIndex, NodeId};
+use std::fmt;
 use std::hash::BuildHasher;
 use tempstream_fxhash::{FxBuildHasher, FxHashMap};
 
-type NodeId = u32;
 const NIL: NodeId = u32::MAX;
 
-/// The payload of a symbol node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Payload {
-    /// A terminal input symbol.
-    Terminal(u64),
-    /// A reference to a rule.
-    NonTerminal(u32),
-    /// The guard node of a rule's circular body list; `u32` is the rule id.
-    Guard(u32),
+/// A packed symbol: a 2-bit tag in the top bits over a 62-bit value.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Sym(u64);
+
+impl Sym {
+    const TAG_SHIFT: u32 = 62;
+    const VALUE: u64 = (1 << Self::TAG_SHIFT) - 1;
+    const TERMINAL: u64 = 0;
+    const RULE: u64 = 1 << Self::TAG_SHIFT;
+    const GUARD: u64 = 2 << Self::TAG_SHIFT;
+    /// The symbol of a node on the free list.
+    const FREED: Sym = Sym(3 << Self::TAG_SHIFT);
+    /// The largest terminal: terminals must leave the tag bits clear.
+    const MAX_TERMINAL: u64 = Self::VALUE;
+
+    fn terminal(t: u64) -> Sym {
+        Sym(Self::TERMINAL | t)
+    }
+
+    fn rule(r: u32) -> Sym {
+        Sym(Self::RULE | u64::from(r))
+    }
+
+    fn guard(r: u32) -> Sym {
+        Sym(Self::GUARD | u64::from(r))
+    }
+
+    fn tag(self) -> u64 {
+        self.0 & !Self::VALUE
+    }
+
+    fn is_guard(self) -> bool {
+        self.tag() == Self::GUARD
+    }
+
+    fn is_freed(self) -> bool {
+        self == Self::FREED
+    }
+
+    /// The rule a non-terminal references.
+    fn rule_ref(self) -> Option<u32> {
+        (self.tag() == Self::RULE).then_some((self.0 & Self::VALUE) as u32)
+    }
+
+    /// The rule whose guard this is.
+    fn guard_of(self) -> Option<u32> {
+        self.is_guard().then_some((self.0 & Self::VALUE) as u32)
+    }
 }
 
-/// A digram hash key: the payloads of two adjacent non-guard symbols.
-type DigramKey = (Payload, Payload);
+impl fmt::Debug for Sym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0 & Self::VALUE;
+        match self.tag() {
+            Self::TERMINAL => write!(f, "T{v}"),
+            Self::RULE => write!(f, "R{v}"),
+            Self::GUARD => write!(f, "G{v}"),
+            _ => write!(f, "freed"),
+        }
+    }
+}
+
+/// A digram: the symbols of two adjacent non-guard nodes.
+type DigramKey = (Sym, Sym);
 
 #[derive(Debug, Clone)]
 struct Node {
     prev: NodeId,
     next: NodeId,
-    payload: Payload,
-    alive: bool,
+    sym: Sym,
 }
 
 #[derive(Debug, Clone)]
@@ -57,12 +116,12 @@ struct RuleData {
 /// grammar against a [`std::collections::hash_map::RandomState`] build —
 /// the produced grammar never depends on hash order (see
 /// [`with_hasher`](Sequitur::with_hasher)).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Sequitur<H: BuildHasher = FxBuildHasher> {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
     rules: Vec<RuleData>,
-    index: HashMap<DigramKey, NodeId, H>,
+    index: DigramIndex<H>,
     input_len: u64,
 }
 
@@ -72,13 +131,16 @@ impl Sequitur {
         Self::with_hasher()
     }
 
-    /// Creates a builder with node capacity preallocated for an input of
-    /// roughly `len` symbols.
+    /// Creates a builder with node and digram-index capacity
+    /// preallocated for an input of roughly `len` symbols.
     pub fn with_capacity(len: usize) -> Self {
-        let mut s = Self::new();
-        s.nodes.reserve(len + len / 2);
-        s.index.reserve(len);
-        s
+        Self::build(len)
+    }
+}
+
+impl<H: BuildHasher + Default> Default for Sequitur<H> {
+    fn default() -> Self {
+        Self::with_hasher()
     }
 }
 
@@ -91,11 +153,15 @@ impl<H: BuildHasher + Default> Sequitur<H> {
     /// Differential tests instantiate this with `RandomState` to prove
     /// the default [`FxBuildHasher`] swap changed nothing.
     pub fn with_hasher() -> Self {
+        Self::build(0)
+    }
+
+    fn build(len: usize) -> Self {
         let mut s = Sequitur {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(len + len / 2),
             free: Vec::new(),
             rules: Vec::new(),
-            index: HashMap::default(),
+            index: DigramIndex::with_capacity_and_hasher(len, H::default()),
             input_len: 0,
         };
         s.new_rule(); // rule 0 = root
@@ -132,9 +198,19 @@ impl<H: BuildHasher> Sequitur<H> {
     }
 
     /// Appends one input symbol, restoring both grammar invariants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `symbol` is `2^62` or larger: the top two bits of a
+    /// symbol word hold its tag.
     pub fn push(&mut self, symbol: u64) {
+        assert!(
+            symbol <= Sym::MAX_TERMINAL,
+            "symbol {symbol:#x} overlaps the tag bits (max {:#x})",
+            Sym::MAX_TERMINAL
+        );
         self.input_len += 1;
-        let node = self.alloc(Payload::Terminal(symbol));
+        let node = self.alloc(Sym::terminal(symbol));
         let root_guard = self.rules[0].guard;
         let last = self.nodes[root_guard as usize].prev;
         self.insert_after(last, node);
@@ -184,12 +260,13 @@ impl<H: BuildHasher> Sequitur<H> {
             let mut cur = self.nodes[r.guard as usize].next;
             while cur != r.guard {
                 let n = &self.nodes[cur as usize];
-                body.push(match n.payload {
-                    Payload::Terminal(t) => GrammarSymbol::Terminal(t),
-                    Payload::NonTerminal(rid) => {
+                debug_assert!(!n.sym.is_guard(), "guard inside rule body");
+                body.push(match n.sym.rule_ref() {
+                    Some(rid) => {
                         GrammarSymbol::Rule(mapping[rid as usize].expect("reference to dead rule"))
                     }
-                    Payload::Guard(_) => unreachable!("guard inside rule body"),
+                    // A terminal's word is its value (tag 0).
+                    None => GrammarSymbol::Terminal(n.sym.0),
                 });
                 cur = n.next;
             }
@@ -201,33 +278,37 @@ impl<H: BuildHasher> Sequitur<H> {
 
     // --- node & rule management ------------------------------------------
 
-    fn alloc(&mut self, payload: Payload) -> NodeId {
-        if let Payload::NonTerminal(r) = payload {
+    fn alloc(&mut self, sym: Sym) -> NodeId {
+        if let Some(r) = sym.rule_ref() {
             self.rules[r as usize].refcount += 1;
         }
+        let node = Node {
+            prev: NIL,
+            next: NIL,
+            sym,
+        };
         if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = Node {
-                prev: NIL,
-                next: NIL,
-                payload,
-                alive: true,
-            };
+            self.nodes[id as usize] = node;
             id
         } else {
-            let id = u32::try_from(self.nodes.len()).expect("node arena overflow");
-            self.nodes.push(Node {
-                prev: NIL,
-                next: NIL,
-                payload,
-                alive: true,
-            });
+            let id = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&id| id != NIL)
+                .expect("node arena overflow");
+            self.nodes.push(node);
             id
         }
     }
 
+    /// Returns `node` to the free list.
+    fn free_node(&mut self, node: NodeId) {
+        self.nodes[node as usize].sym = Sym::FREED;
+        self.free.push(node);
+    }
+
     fn new_rule(&mut self) -> u32 {
         let rule_id = u32::try_from(self.rules.len()).expect("rule id overflow");
-        let guard = self.alloc(Payload::Guard(rule_id));
+        let guard = self.alloc(Sym::guard(rule_id));
         // The guard closes the circular list on itself while the body is
         // empty.
         self.nodes[guard as usize].prev = guard;
@@ -242,7 +323,7 @@ impl<H: BuildHasher> Sequitur<H> {
 
     fn node(&self, id: NodeId) -> &Node {
         let n = &self.nodes[id as usize];
-        debug_assert!(n.alive, "access to freed node {id}");
+        debug_assert!(!n.sym.is_freed(), "access to freed node {id}");
         n
     }
 
@@ -250,23 +331,26 @@ impl<H: BuildHasher> Sequitur<H> {
     /// guard.
     fn digram_key(&self, first: NodeId) -> Option<DigramKey> {
         let n = self.node(first);
-        if matches!(n.payload, Payload::Guard(_)) {
+        if n.sym.is_guard() {
             return None;
         }
-        let second = self.node(n.next);
-        if matches!(second.payload, Payload::Guard(_)) {
+        let second = self.node(n.next).sym;
+        if second.is_guard() {
             return None;
         }
-        Some((n.payload, second.payload))
+        Some((n.sym, second))
+    }
+
+    /// Indexes the digram `key` at `node`, replacing any previous entry.
+    fn index_insert(&mut self, (a, b): DigramKey, node: NodeId) {
+        self.index.insert(a.0, b.0, node);
     }
 
     /// Removes the digram starting at `first` from the index, if the index
     /// entry points at `first`.
     fn delete_digram(&mut self, first: NodeId) {
-        if let Some(key) = self.digram_key(first) {
-            if self.index.get(&key) == Some(&first) {
-                self.index.remove(&key);
-            }
+        if let Some((a, b)) = self.digram_key(first) {
+            self.index.remove_if(a.0, b.0, first);
         }
     }
 
@@ -282,23 +366,23 @@ impl<H: BuildHasher> Sequitur<H> {
             let rp = self.nodes[right as usize].prev;
             let rn = self.nodes[right as usize].next;
             if rp != NIL && rn != NIL {
-                let v = self.nodes[right as usize].payload;
-                if !matches!(v, Payload::Guard(_))
-                    && self.nodes[rp as usize].payload == v
-                    && self.nodes[rn as usize].payload == v
+                let v = self.nodes[right as usize].sym;
+                if !v.is_guard()
+                    && self.nodes[rp as usize].sym == v
+                    && self.nodes[rn as usize].sym == v
                 {
-                    self.index.insert((v, v), right);
+                    self.index_insert((v, v), right);
                 }
             }
             let lp = self.nodes[left as usize].prev;
             let ln = self.nodes[left as usize].next;
             if lp != NIL && ln != NIL {
-                let v = self.nodes[left as usize].payload;
-                if !matches!(v, Payload::Guard(_))
-                    && self.nodes[lp as usize].payload == v
-                    && self.nodes[ln as usize].payload == v
+                let v = self.nodes[left as usize].sym;
+                if !v.is_guard()
+                    && self.nodes[lp as usize].sym == v
+                    && self.nodes[ln as usize].sym == v
                 {
-                    self.index.insert((v, v), lp);
+                    self.index_insert((v, v), lp);
                 }
             }
         }
@@ -323,34 +407,28 @@ impl<H: BuildHasher> Sequitur<H> {
         // Own digram removal uses the *old* neighbor, which `join` left
         // intact in this node's link fields.
         self.delete_digram(node);
-        if let Payload::NonTerminal(r) = self.nodes[node as usize].payload {
+        if let Some(r) = self.nodes[node as usize].sym.rule_ref() {
             self.rules[r as usize].refcount -= 1;
         }
-        self.nodes[node as usize].alive = false;
-        self.free.push(node);
+        self.free_node(node);
     }
 
     /// Checks the digram starting at `first` against the index, performing a
     /// reduction if it already occurs elsewhere. Returns `true` if the
     /// digram was already in the index (at this or another position).
     fn check(&mut self, first: NodeId) -> bool {
-        let Some(key) = self.digram_key(first) else {
+        let Some((a, b)) = self.digram_key(first) else {
             return false;
         };
-        match self.index.get(&key) {
-            None => {
-                self.index.insert(key, first);
-                false
-            }
-            Some(&found) => {
-                // Skip self-hits and overlapping occurrences (runs like
-                // "aaa", where found's second symbol is our first).
-                if found != first && self.nodes[found as usize].next != first {
-                    self.match_digrams(first, found);
-                }
-                true
-            }
+        let Some(found) = self.index.get_or_insert(a.0, b.0, first) else {
+            return false;
+        };
+        // Skip self-hits and overlapping occurrences (runs like "aaa",
+        // where found's second symbol is our first).
+        if found != first && self.nodes[found as usize].next != first {
+            self.match_digrams(first, found);
         }
+        true
     }
 
     /// Handles a repeated digram: `new_d` just formed, `found` is the
@@ -361,9 +439,9 @@ impl<H: BuildHasher> Sequitur<H> {
         let found_next_next = self.nodes[found_next as usize].next;
 
         let rule_id;
-        if let (Payload::Guard(r1), Payload::Guard(r2)) = (
-            self.nodes[found_prev as usize].payload,
-            self.nodes[found_next_next as usize].payload,
+        if let (Some(r1), Some(r2)) = (
+            self.nodes[found_prev as usize].sym.guard_of(),
+            self.nodes[found_next_next as usize].sym.guard_of(),
         ) {
             // `found`'s digram is the entire body of an existing rule:
             // reuse it.
@@ -375,12 +453,12 @@ impl<H: BuildHasher> Sequitur<H> {
             // occurrences.
             rule_id = self.new_rule();
             let guard = self.rules[rule_id as usize].guard;
-            let c1 = self.alloc(self.nodes[new_d as usize].payload);
+            let c1 = self.alloc(self.nodes[new_d as usize].sym);
             let second = self.nodes[new_d as usize].next;
-            let second_payload = self.nodes[second as usize].payload;
+            let second_sym = self.nodes[second as usize].sym;
             let last = self.nodes[guard as usize].prev;
             self.insert_after(last, c1);
-            let c2 = self.alloc(second_payload);
+            let c2 = self.alloc(second_sym);
             let last = self.nodes[guard as usize].prev;
             self.insert_after(last, c2);
             self.substitute(found, rule_id);
@@ -388,7 +466,7 @@ impl<H: BuildHasher> Sequitur<H> {
             // Index the digram inside the new rule body.
             let first_body = self.nodes[guard as usize].next;
             if let Some(key) = self.digram_key(first_body) {
-                self.index.insert(key, first_body);
+                self.index_insert(key, first_body);
             }
         }
 
@@ -399,7 +477,7 @@ impl<H: BuildHasher> Sequitur<H> {
         }
         let guard = self.rules[rule_id as usize].guard;
         let first_body = self.nodes[guard as usize].next;
-        if let Payload::NonTerminal(inner) = self.nodes[first_body as usize].payload {
+        if let Some(inner) = self.nodes[first_body as usize].sym.rule_ref() {
             if self.rules[inner as usize].refcount == 1 {
                 self.expand(first_body);
             }
@@ -414,7 +492,7 @@ impl<H: BuildHasher> Sequitur<H> {
         self.delete_symbol(a);
         let b = self.nodes[prev as usize].next;
         self.delete_symbol(b);
-        let nt = self.alloc(Payload::NonTerminal(rule));
+        let nt = self.alloc(Sym::rule(rule));
         self.insert_after(prev, nt);
         if !self.check(prev) {
             let pn = self.nodes[prev as usize].next;
@@ -425,9 +503,10 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Rule utility repair: inlines the single-use rule referenced by the
     /// non-terminal `node` into its surrounding body and deletes the rule.
     fn expand(&mut self, node: NodeId) {
-        let Payload::NonTerminal(rule) = self.nodes[node as usize].payload else {
-            unreachable!("expand on non-non-terminal");
-        };
+        let rule = self.nodes[node as usize]
+            .sym
+            .rule_ref()
+            .expect("expand on a symbol that is not a non-terminal");
         let left = self.nodes[node as usize].prev;
         let right = self.nodes[node as usize].next;
         let guard = self.rules[rule as usize].guard;
@@ -442,15 +521,13 @@ impl<H: BuildHasher> Sequitur<H> {
         self.join(left, body_first);
         self.join(body_last, right);
         if let Some(key) = self.digram_key(body_last) {
-            self.index.insert(key, body_last);
+            self.index_insert(key, body_last);
         }
 
         self.rules[rule as usize].refcount -= 1;
         debug_assert_eq!(self.rules[rule as usize].refcount, 0);
-        self.nodes[node as usize].alive = false;
-        self.free.push(node);
-        self.nodes[guard as usize].alive = false;
-        self.free.push(guard);
+        self.free_node(node);
+        self.free_node(guard);
         self.rules[rule as usize].alive = false;
     }
 
@@ -475,27 +552,27 @@ impl<H: BuildHasher> Sequitur<H> {
             // Walk the body; verify links and collect digrams.
             let guard = rule.guard;
             assert!(
-                matches!(self.nodes[guard as usize].payload, Payload::Guard(g) if g as usize == rid),
-                "rule {rid}: guard payload mismatch"
+                self.nodes[guard as usize].sym.guard_of() == Some(rid as u32),
+                "rule {rid}: guard symbol mismatch"
             );
             let mut cur = self.nodes[guard as usize].next;
             let mut pos = 0usize;
             let mut body_len = 0usize;
             while cur != guard {
                 let n = &self.nodes[cur as usize];
-                assert!(n.alive, "rule {rid}: dead node {cur} in body");
+                assert!(!n.sym.is_freed(), "rule {rid}: dead node {cur} in body");
                 assert_eq!(
                     self.nodes[n.next as usize].prev, cur,
                     "rule {rid}: broken back-link at node {cur}"
                 );
-                if let Payload::NonTerminal(r) = n.payload {
+                if let Some(r) = n.sym.rule_ref() {
                     assert!(
                         self.rules[r as usize].alive,
                         "rule {rid}: reference to dead rule {r}"
                     );
                     refcounts[r as usize] += 1;
                 }
-                if let Some(key) = self.digram_key(cur) {
+                if let Some(key @ (a, b)) = self.digram_key(cur) {
                     if let Some(&(orid, opos)) = digrams_seen.get(&key) {
                         // Digram uniqueness allows overlapping repetitions
                         // within a run of identical symbols (aaa): adjacent
@@ -510,7 +587,7 @@ impl<H: BuildHasher> Sequitur<H> {
                         digrams_seen.insert(key, (rid, pos));
                     }
                     assert!(
-                        self.index.contains_key(&key),
+                        self.index.get(a.0, b.0).is_some(),
                         "digram {key:?} (rule {rid} pos {pos}) missing from index"
                     );
                 }
@@ -548,15 +625,24 @@ impl<H: BuildHasher> Sequitur<H> {
 
         // Every index entry must point at a live node whose current digram
         // matches its key.
-        for (key, &node) in &self.index {
+        for (a, b, node) in self.index.iter() {
+            let key = (Sym(a), Sym(b));
             let n = &self.nodes[node as usize];
-            assert!(n.alive, "index entry {key:?} points at dead node {node}");
+            assert!(
+                !n.sym.is_freed(),
+                "index entry {key:?} points at dead node {node}"
+            );
             assert_eq!(
                 self.digram_key(node),
-                Some(*key),
+                Some(key),
                 "index entry {key:?} points at node {node} with different digram"
             );
         }
+        assert_eq!(
+            self.index.iter().count(),
+            self.index.len(),
+            "index length disagrees with its occupied slots"
+        );
     }
 }
 
@@ -660,6 +746,56 @@ mod tests {
         assert_eq!(s.rules_created(), 2);
         assert_eq!(s.live_rules(), 2);
         assert!(s.node_arena_len() >= 5);
+    }
+
+    #[test]
+    fn nodes_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+    }
+
+    #[test]
+    fn symbols_round_trip_through_their_tags() {
+        for v in [0, 1, u64::from(u32::MAX), Sym::MAX_TERMINAL] {
+            let t = Sym::terminal(v);
+            assert!(!t.is_guard() && !t.is_freed());
+            assert_eq!((t.rule_ref(), t.guard_of(), t.0), (None, None, v));
+        }
+        for r in [0, 7, u32::MAX] {
+            assert_eq!(Sym::rule(r).rule_ref(), Some(r));
+            assert_eq!(Sym::rule(r).guard_of(), None);
+            assert_eq!(Sym::guard(r).guard_of(), Some(r));
+            assert_eq!(Sym::guard(r).rule_ref(), None);
+        }
+        assert!(Sym::FREED.is_freed());
+        assert!(!Sym::FREED.is_guard());
+        assert_eq!(Sym::FREED.rule_ref(), None);
+    }
+
+    #[test]
+    fn largest_symbol_is_accepted() {
+        let input = [Sym::MAX_TERMINAL, 0, Sym::MAX_TERMINAL, 0];
+        let g = build(&input);
+        assert_eq!(g.reconstruct(), input);
+        assert_eq!(g.rule_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag bits")]
+    fn symbol_in_the_tag_bits_is_rejected() {
+        Sequitur::new().push(1 << 62);
+    }
+
+    #[test]
+    fn default_builder_has_a_root_rule() {
+        // A derived `Default` once built a builder without the root rule,
+        // so the first push indexed past the end of the rule table.
+        let mut s: Sequitur = Sequitur::default();
+        s.extend([1, 2, 1, 2]);
+        s.verify_invariants();
+        assert_eq!(s.into_grammar().reconstruct(), vec![1, 2, 1, 2]);
+        let mut sip = Sequitur::<std::collections::hash_map::RandomState>::default();
+        sip.push(3);
+        assert_eq!(sip.live_rules(), 1);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 mod builder;
 mod grammar;
+mod index;
 pub mod stats;
 
 pub use builder::Sequitur;

@@ -7,8 +7,14 @@
 //! hasher. These tests pin that claim by building the same inputs under
 //! both hashers and requiring *structurally identical* grammars (same
 //! rules, same bodies, same order), not merely equal reconstructions.
+//!
+//! A third hasher sends every digram to the same hash. That turns the
+//! open-addressed index into one long probe run that wraps around the
+//! end of the table and is repaired by backward shifts on every
+//! deletion, and the grammars must still come out identical.
 
 use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasherDefault, Hasher};
 use tempstream_sequitur::{Grammar, Sequitur};
 use tempstream_trace::rng::SmallRng;
 
@@ -47,6 +53,45 @@ fn fx_and_siphash_grammars_identical() {
         let fx = grammar_with::<tempstream_fxhash::FxBuildHasher>(&input);
         let sip = grammar_with::<RandomState>(&input);
         assert_identical(&fx, &sip, &input);
+    }
+}
+
+/// A hasher under which every key collides.
+#[derive(Default)]
+struct ConstantHasher;
+
+impl Hasher for ConstantHasher {
+    fn write(&mut self, _: &[u8]) {}
+
+    fn finish(&self) -> u64 {
+        u64::MAX
+    }
+}
+
+type ConstantHash = BuildHasherDefault<ConstantHasher>;
+
+/// With every digram colliding, the index still answers exactly, so the
+/// grammar equals the SipHash build's on the randomized corpus and on
+/// the churn-heavy regression shapes.
+#[test]
+fn constant_hash_grammars_identical() {
+    let mut rng = SmallRng::seed_from_u64(0xc011);
+    for round in 0..48 {
+        let alphabet = [2u64, 3, 8, 64, 4096][round % 5];
+        let len = rng.gen_range(0..600usize);
+        let input: Vec<u64> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
+        let mut s = Sequitur::<ConstantHash>::with_hasher();
+        s.extend(input.iter().copied());
+        s.verify_invariants();
+        assert_identical(
+            &s.into_grammar(),
+            &grammar_with::<RandomState>(&input),
+            &input,
+        );
+    }
+    for case in [&[5u64, 5, 4, 5, 5, 4, 4, 5, 5, 5, 4][..], &[1; 40][..]] {
+        let constant = grammar_with::<ConstantHash>(case);
+        assert_identical(&constant, &grammar_with::<RandomState>(case), case);
     }
 }
 

@@ -247,6 +247,43 @@ fn malformed_bytes_get_an_error_frame_then_close() {
 }
 
 #[test]
+fn ingest_frame_with_out_of_range_block_is_rejected() {
+    use std::io::Read;
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+    let records = seeded_records(0xb10c, 64);
+    let mut good = TcpStream::connect(&addr).expect("connect");
+    ingest_all(&mut good, &records, 16);
+
+    // A block no byte address maps to: the wire decoder must turn it
+    // away before it reaches a shard's grammar builder.
+    let mut hostile = records[..4].to_vec();
+    hostile[2].block = Block::new(Block::MAX_RAW + 1);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    match call(&mut conn, &Frame::Ingest(hostile)) {
+        Frame::Error { code, message } => {
+            assert_eq!(code, ERR_BAD_FRAME);
+            assert!(message.contains("block"), "{message}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).expect("drain");
+    assert!(rest.is_empty(), "no bytes after the error frame");
+
+    // The server still answers, over exactly the records it accepted,
+    // and drains.
+    match call(&mut good, &Frame::QueryCoverage) {
+        Frame::CoverageReply { total, .. } => assert_eq!(total, records.len() as u64),
+        other => panic!("expected coverage reply, got {other:?}"),
+    }
+    shutdown(&mut good);
+    handle.join().expect("server thread").expect("server run");
+}
+
+#[test]
 fn reply_direction_frame_is_rejected() {
     let (addr, handle) = start_server(ServerConfig::default());
     let mut conn = TcpStream::connect(&addr).expect("connect");

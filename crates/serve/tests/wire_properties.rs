@@ -17,7 +17,8 @@ fn seeded_records(seed: u64, n: usize) -> Vec<MissRecord<MissClass>> {
     let classes = MissClass::ALL;
     (0..n)
         .map(|_| MissRecord {
-            block: Block::new(rng.next_u64()),
+            // Any block a byte address maps to.
+            block: Block::new(rng.next_u64() % (Block::MAX_RAW + 1)),
             cpu: CpuId::new((rng.next_u64() % 64) as u32),
             thread: ThreadId::new((rng.next_u64() % 1024) as u32),
             function: FunctionId::new((rng.next_u64() % 4096) as u32),

@@ -82,6 +82,11 @@ impl From<u64> for Address {
 pub struct Block(u64);
 
 impl Block {
+    /// The largest raw block number: the block holding the highest byte
+    /// address. Readers of untrusted traces and ingest frames reject
+    /// anything larger.
+    pub const MAX_RAW: u64 = u64::MAX / BLOCK_BYTES;
+
     /// Creates a block address from a raw block number.
     pub const fn new(raw: u64) -> Self {
         Block(raw)
@@ -144,6 +149,15 @@ mod tests {
         assert_eq!(Address::new(63).block(), Block::new(0));
         assert_eq!(Address::new(64).block(), Block::new(1));
         assert_eq!(Address::new(4096).block(), Block::new(64));
+    }
+
+    #[test]
+    fn max_raw_block_holds_the_highest_address() {
+        assert_eq!(Address::new(u64::MAX).block(), Block::new(Block::MAX_RAW));
+        assert_eq!(
+            Block::new(Block::MAX_RAW).base_address(),
+            Address::new(u64::MAX - (BLOCK_BYTES - 1))
+        );
     }
 
     #[test]

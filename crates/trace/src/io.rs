@@ -54,6 +54,9 @@ pub enum ReadTraceError {
     },
     /// A record contained an invalid class byte.
     BadClass(u8),
+    /// A record named a block above [`Block::MAX_RAW`], which no byte
+    /// address maps to.
+    BlockOutOfRange(u64),
     /// The stream ended before the header's record count was satisfied.
     TruncatedRecords {
         /// Records promised by the header.
@@ -84,6 +87,11 @@ impl fmt::Display for ReadTraceError {
                 "trace class tag {found} does not match requested type (tag {expected})"
             ),
             ReadTraceError::BadClass(b) => write!(f, "invalid class byte {b} in record"),
+            ReadTraceError::BlockOutOfRange(block) => write!(
+                f,
+                "record names block {block:#x}, above the largest block {:#x}",
+                Block::MAX_RAW
+            ),
             ReadTraceError::TruncatedRecords { expected, read } => write!(
                 f,
                 "trace truncated: header promised {expected} records, found {read}"
@@ -209,10 +217,12 @@ pub fn decode_record<C: TraceClass>(bytes: &[u8]) -> Result<MissRecord<C>, ReadT
     let field = |lo: usize, hi: usize| -> [u8; 4] { bytes[lo..hi].try_into().expect("4B field") };
     let class_byte = bytes[RECORD_BYTES - 1];
     let class = C::from_byte(class_byte).ok_or(ReadTraceError::BadClass(class_byte))?;
+    let block = u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte field"));
+    if block > Block::MAX_RAW {
+        return Err(ReadTraceError::BlockOutOfRange(block));
+    }
     Ok(MissRecord {
-        block: Block::new(u64::from_le_bytes(
-            bytes[0..8].try_into().expect("8-byte field"),
-        )),
+        block: Block::new(block),
         cpu: CpuId::new(u32::from_le_bytes(field(8, 12))),
         thread: ThreadId::new(u32::from_le_bytes(field(12, 16))),
         function: FunctionId::new(u32::from_le_bytes(field(16, 20))),
@@ -491,6 +501,24 @@ mod tests {
                 num_cpus: 4
             }
         ));
+    }
+
+    #[test]
+    fn out_of_range_block_detected() {
+        let t = sample_trace();
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        // The first record's block field follows the 27-byte header.
+        buf[27..35].copy_from_slice(&(Block::MAX_RAW + 1).to_le_bytes());
+        let err = read_trace::<MissClass, _>(&buf[..]).unwrap_err();
+        assert!(matches!(
+            err,
+            ReadTraceError::BlockOutOfRange(b) if b == Block::MAX_RAW + 1
+        ));
+        // The largest block itself still reads back.
+        buf[27..35].copy_from_slice(&Block::MAX_RAW.to_le_bytes());
+        let back = read_trace::<MissClass, _>(&buf[..]).unwrap();
+        assert_eq!(back.records()[0].block, Block::new(Block::MAX_RAW));
     }
 
     #[test]

@@ -23,7 +23,8 @@ fn random_trace<C: TraceClass>(rng: &mut SmallRng, num_classes: u8, len: usize) 
     t.set_instructions(rng.next_u64());
     for _ in 0..len {
         t.push(MissRecord {
-            block: Block::new(rng.next_u64()),
+            // Any block a byte address maps to.
+            block: Block::new(rng.next_u64() % (Block::MAX_RAW + 1)),
             cpu: CpuId::new(rng.gen_range(0u32..num_cpus)),
             thread: ThreadId::new(rng.next_u64() as u32),
             function: FunctionId::new(rng.next_u64() as u32),
