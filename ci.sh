@@ -19,7 +19,8 @@
 #  10. serve soak gates: a live server on loopback, driven by the
 #      in-tree load generator with --verify (online answers must match
 #      the offline batch comparator bit-exactly); the metrics snapshot
-#      must show zero dropped frames, and the server must drain cleanly.
+#      must account for every frame received by its outcome and show
+#      every ingested record applied, and the server must drain cleanly.
 #      Run twice: half-duplex v1, then pipelined v2 (--window 8 with
 #      interleaved QueryDelta probes), whose throughput must not fall
 #      below the single-in-flight baseline
@@ -114,8 +115,10 @@ echo "== serve soak: loopback ingest + verify + drain =="
 # A real server process on an ephemeral loopback port, a real client.
 # serve-load --verify recomputes the answers offline (same shard hash,
 # same batch stages) and fails on any mismatch; one connection makes
-# the check bit-exact. The snapshot then proves flow control did its
-# job: every frame accepted or refused with Busy, none dropped.
+# the check bit-exact. The snapshot then proves every frame was
+# accounted for: the frames received equal those acked, refused with
+# Busy, answered with an error, queries and shutdowns, and every
+# ingested record was applied.
 ./target/release/serve --shards 2 >"$det_dir/serve.out" 2>"$det_dir/serve.err" &
 serve_pid=$!
 serve_addr=""
@@ -134,12 +137,15 @@ wait "$serve_pid" \
 grep -q '^DRAINED$' "$det_dir/serve.out" \
   || { echo "serve soak FAILED: server never reported a clean drain"; exit 1; }
 jq -e '.verify == "exact"
-       and .metrics.counters.serve.frames.dropped == 0
+       and (.metrics.counters.serve as $s
+            | $s.frames.acked > 0
+              and $s.frames.received == $s.frames.acked + $s.frames.busy + $s.frames.errors
+                                        + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
        and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
     "$det_dir/serve_metrics.json" >/dev/null \
   || { echo "serve soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve_metrics.json"; exit 1; }
-echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, 0 dropped frames, clean drain"
+echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, $(jq -r '.metrics.counters.serve.frames.received' "$det_dir/serve_metrics.json") frames accounted for, clean drain"
 base_rps=$(jq -r '.records_per_sec' "$det_dir/serve_metrics.json")
 
 echo "== serve soak: pipelined window=8 + incremental deltas =="
@@ -173,7 +179,10 @@ grep -q '^DRAINED$' "$det_dir/serve8.out" \
 jq -e '.verify == "exact"
        and .window == 8
        and .delta_queries > 0
-       and .metrics.counters.serve.frames.dropped == 0
+       and (.metrics.counters.serve as $s
+            | $s.frames.acked > 0
+              and $s.frames.received == $s.frames.acked + $s.frames.busy + $s.frames.errors
+                                        + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
        and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
     "$det_dir/serve8_metrics.json" >/dev/null \

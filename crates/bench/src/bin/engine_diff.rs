@@ -7,7 +7,10 @@
 //! `--chunks 1` (one batch feed) and `--chunks 2` / `--chunks 7`
 //! (incremental feeds) and byte-diffs the outputs: any divergence
 //! between incremental-interleaved and batch feeding fails CI, the
-//! same shape as the PR-2 serial/parallel determinism gate.
+//! same shape as the serial/parallel determinism gate. Each digest
+//! also cross-checks the engine's two root walks: the joint breakdown
+//! (labelled walk) must split exactly the misses the stream counts
+//! (counts-only walk) call repetitive and non-repetitive.
 //!
 //! ```text
 //! engine_diff [--chunks N] [--records N]
@@ -32,10 +35,26 @@ fn seeded_records(seed: u64, n: usize, block_universe: u64) -> Vec<MissRecord<Mi
 }
 
 /// Prints one engine's full answer set as stable, diffable lines.
+///
+/// # Panics
+///
+/// Panics if the joint breakdown (the labelled walk over a grammar
+/// snapshot) disagrees with the stream counts (the counts-only walk
+/// over the live builder) on how many misses are repetitive.
 fn print_digest(label: &str, engine: &mut AnalysisEngine<MissClass>) {
     let s = engine.stream_counts();
     let c = engine.coverage();
     let j = engine.joint_breakdown();
+    assert_eq!(
+        j.non_repetitive_non_strided + j.non_repetitive_strided,
+        s.non_repetitive,
+        "{label}: the two walks disagree on non-repetitive misses"
+    );
+    assert_eq!(
+        j.repetitive_non_strided + j.repetitive_strided,
+        s.new_stream + s.recurring_stream,
+        "{label}: the two walks disagree on repetitive misses"
+    );
     println!(
         "{label} version={} overflow={}",
         engine.version(),

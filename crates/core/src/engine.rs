@@ -14,16 +14,20 @@
 //!   so `analyze_streams` pays for exactly what it reports;
 //! - a per-function miss counter ([`OriginTable`]: direct-indexed
 //!   dense array with a hashmap spill);
-//! - a monotone [`version()`](AnalysisEngine::version) and a
-//!   version-keyed memoized snapshot of the grammar root walk.
+//! - a monotone [`version()`](AnalysisEngine::version) and two
+//!   version-keyed memoized root walks: the counts-only walk of the
+//!   live builder behind [`stream_counts`](AnalysisEngine::stream_counts)
+//!   and the labelled walk of a grammar snapshot behind
+//!   [`stream_analysis`](AnalysisEngine::stream_analysis).
 //!
 //! # Feeding modes and bit-identity
 //!
 //! The engine is *incremental*: [`push_record`] /
 //! [`push_records`](AnalysisEngine::push_records) may be interleaved
-//! freely with the snapshot accessors. Because a SEQUITUR grammar
-//! snapshot over an ingest prefix equals the batch grammar of that
-//! prefix, and the root walk is a pure function of (grammar, records),
+//! freely with the snapshot accessors. Because the live SEQUITUR
+//! builder over an ingest prefix holds the batch grammar of that
+//! prefix, and both root walks are pure functions of (grammar,
+//! records),
 //! **any interleaving of pushes and snapshots yields bit-identical
 //! answers to one batch feed of the same records** — the differential
 //! property test (`crates/core/tests/engine_differential.rs`) and the
@@ -34,16 +38,15 @@
 //! # Version / memoization contract
 //!
 //! [`version()`](AnalysisEngine::version) advances exactly once per
-//! applied record — i.e. exactly when observable state changes. The
-//! expensive snapshot (a grammar root walk producing the full
-//! [`StreamAnalysis`]) is cached keyed by the version at which it was
-//! taken, so any number of snapshot reads against a quiet engine cost
-//! O(1) and are guaranteed fresh: a stale answer would require the
-//! cache key to equal a version it was not computed at, which a
-//! monotone counter rules out. [`grammar_walks`] counts cache misses
+//! applied record — i.e. exactly when observable state changes. Each
+//! walk's result is cached keyed by the version at which it ran, so
+//! any number of reads against a quiet engine cost O(1) and are
+//! guaranteed fresh: a stale answer would require the cache key to
+//! equal a version it was not computed at, which a monotone counter
+//! rules out. [`grammar_walks`] counts cache misses of both walks
 //! (actual root walks) so callers can *prove* the memoization — the
-//! server exports it as a gauge and its loopback tests pin exact walk
-//! counts.
+//! server, which only reads counts, exports it as a gauge and its
+//! loopback tests pin exact walk counts.
 //!
 //! The shared zero-denominator guards [`frac`] / [`fracf`] (PR 3) are
 //! re-exported here as the engine-level definition every report type
@@ -220,17 +223,6 @@ pub struct CoverageCounts {
     pub issued: u64,
 }
 
-/// The version-keyed memoized root-walk snapshot.
-#[derive(Debug)]
-struct Snapshot {
-    /// Engine version the walk ran at.
-    version: u64,
-    /// The full root-walk result (labels, occurrences, rule count).
-    analysis: StreamAnalysis,
-    /// Label totals derived from `analysis`, pre-folded for O(1) reads.
-    counts: StreamCounts,
-}
-
 /// The temporal-prefetch evaluation component: present in the full
 /// (server) configuration, absent in streams-only batch mode.
 #[derive(Debug)]
@@ -261,14 +253,16 @@ pub struct AnalysisEngine<C: Copy = MissClass> {
     ingested: u64,
     /// Records past `max_retained` (analyzed for coverage/origins only).
     overflow: u64,
-    /// Root-walk snapshot memoized at a version; valid while the engine
-    /// has not ingested past it.
-    snapshot: Option<Snapshot>,
+    /// Counts-only walk of the live builder, memoized at a version.
+    counts_cache: Option<(u64, StreamCounts)>,
+    /// Labelled root walk over a grammar snapshot, memoized at a
+    /// version; valid while the engine has not ingested past it.
+    snapshot: Option<(u64, StreamAnalysis)>,
     /// Joint stride × stream breakdown memoized at a version.
     joint_cache: Option<(u64, StrideJointReport)>,
-    /// Grammar root walks performed (snapshot-cache misses); the server
-    /// exports this as a gauge so tests can assert quiet engines answer
-    /// without walking.
+    /// Grammar root walks performed (cache misses of either walk); the
+    /// server exports this as a gauge so tests can assert quiet engines
+    /// answer without walking.
     walks: u64,
 }
 
@@ -313,6 +307,7 @@ impl<C: Copy> AnalysisEngine<C> {
             origin_counts: OriginTable::new(),
             ingested: 0,
             overflow: 0,
+            counts_cache: None,
             snapshot: None,
             joint_cache: None,
             walks: 0,
@@ -364,53 +359,44 @@ impl<C: Copy> AnalysisEngine<C> {
         self.overflow
     }
 
-    /// Grammar root walks performed so far — i.e. snapshot-cache
-    /// misses. Tests use this to prove version-keyed caching: querying
-    /// a quiet engine must not move it.
+    /// Grammar root walks performed so far — i.e. misses of the
+    /// memoized counts walk and of the memoized labelled walk. Tests use
+    /// this to prove version-keyed caching: querying a quiet engine must
+    /// not move it.
     pub fn grammar_walks(&self) -> u64 {
         self.walks
     }
 
-    /// Ensures the memoized snapshot is at the current version, walking
-    /// the grammar root if the engine has ingested since the last walk.
-    fn refresh_snapshot(&mut self) {
-        if let Some(s) = &self.snapshot {
-            if s.version == self.ingested {
-                return;
-            }
-        }
-        let grammar = self.seq.grammar();
-        let analysis = StreamAnalysis::of_grammar(&grammar, &self.records, self.max_cpu + 1);
-        let (non, new, rec) = analysis.label_counts();
-        let counts = StreamCounts {
-            non_repetitive: non,
-            new_stream: new,
-            recurring_stream: rec,
-            distinct_streams: analysis.distinct_streams() as u64,
-        };
-        self.snapshot = Some(Snapshot {
-            version: self.ingested,
-            analysis,
-            counts,
-        });
-        self.walks += 1;
-    }
-
     /// The full root-walk analysis (labels, occurrences, distributions)
     /// of the retained records at the current version — bit-identical
-    /// to batch-analyzing those records. Memoized per the module-level
-    /// version contract.
+    /// to batch-analyzing those records. Walks a grammar snapshot;
+    /// memoized per the module-level version contract.
     pub fn stream_analysis(&mut self) -> &StreamAnalysis {
-        self.refresh_snapshot();
-        &self.snapshot.as_ref().expect("refreshed above").analysis
+        let fresh = matches!(&self.snapshot, Some((v, _)) if *v == self.ingested);
+        if !fresh {
+            let grammar = self.seq.grammar();
+            let analysis = StreamAnalysis::of_grammar(&grammar, &self.records, self.max_cpu + 1);
+            self.snapshot = Some((self.ingested, analysis));
+            self.walks += 1;
+        }
+        &self.snapshot.as_ref().expect("refreshed above").1
     }
 
-    /// Stream-fraction counts at the current version (memoized; the
-    /// grammar root walk only runs when the engine ingested since the
-    /// previous snapshot read).
+    /// Stream-fraction counts at the current version: the counts-only
+    /// walk of the live builder ([`crate::streams::count_streams`]),
+    /// which takes no grammar snapshot and reads no records. Memoized;
+    /// the walk only runs when the engine ingested since the previous
+    /// read.
     pub fn stream_counts(&mut self) -> StreamCounts {
-        self.refresh_snapshot();
-        self.snapshot.as_ref().expect("refreshed above").counts
+        match self.counts_cache {
+            Some((version, counts)) if version == self.ingested => counts,
+            _ => {
+                let counts = crate::streams::count_streams(&self.seq);
+                self.counts_cache = Some((self.ingested, counts));
+                self.walks += 1;
+                counts
+            }
+        }
     }
 
     /// The joint repetitive × strided breakdown (Figure 3) over the
@@ -421,10 +407,8 @@ impl<C: Copy> AnalysisEngine<C> {
                 return joint;
             }
         }
-        self.refresh_snapshot();
-        let snap = self.snapshot.as_ref().expect("refreshed above");
         let flags = StrideDetector::of_records(&self.records, self.max_cpu + 1);
-        let joint = crate::stages::joint_breakdown(snap.analysis.labels(), flags.flags());
+        let joint = crate::stages::joint_breakdown(self.stream_analysis().labels(), flags.flags());
         self.joint_cache = Some((self.ingested, joint));
         joint
     }
@@ -451,11 +435,12 @@ impl<C: Copy> AnalysisEngine<C> {
         &self.origin_counts
     }
 
-    /// Drops the memoized snapshot so the next accessor re-walks the
+    /// Drops the memoized walks so the next accessor re-walks the
     /// grammar from scratch (a testing aid: cache-consistency tests
     /// compare the cached answer against a forced fresh walk).
     #[doc(hidden)]
     pub fn invalidate_snapshot(&mut self) {
+        self.counts_cache = None;
         self.snapshot = None;
         self.joint_cache = None;
     }

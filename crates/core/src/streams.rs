@@ -9,7 +9,8 @@
 //! expansion has been emitted before, else *Recurring*.
 
 use crate::distribution::{LengthCdf, ReuseDistancePdf};
-use tempstream_sequitur::{GrammarSymbol, RuleId};
+use crate::engine::StreamCounts;
+use tempstream_sequitur::{Body, GrammarSymbol, RuleId, Sequitur};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::MissTrace;
 
@@ -71,12 +72,12 @@ impl StreamAnalysis {
     /// block sequence (step 2 of [`of_records`](Self::of_records),
     /// without the SEQUITUR push loop or any metrics export).
     ///
-    /// `tempstream-serve` uses this to answer stream queries from a
-    /// *live* builder: each shard keeps an incremental
-    /// [`Sequitur`] and snapshots it with
-    /// [`Sequitur::grammar`]; because the root walk below is a pure
-    /// function of (grammar, records), the online answer is
-    /// bit-identical to the offline batch path.
+    /// [`AnalysisEngine::stream_analysis`](crate::engine::AnalysisEngine::stream_analysis)
+    /// uses this on a [`Sequitur::grammar`] snapshot of its live
+    /// builder; because the root walk below is a pure function of
+    /// (grammar, records), the answer is bit-identical to the batch
+    /// path. Callers that need only the totals use [`count_streams`],
+    /// which reads the live builder in place.
     ///
     /// `grammar` must derive from exactly the block sequence of
     /// `records` (debug-asserted by the walk covering the whole slice).
@@ -218,6 +219,84 @@ impl StreamAnalysis {
             }
         }
         pdf
+    }
+}
+
+/// The counts-only root walk: [`StreamCounts`] of a live builder, read
+/// in place.
+///
+/// Equal to [`StreamAnalysis::of_grammar`] over a snapshot of `seq`
+/// folded by [`label_counts`](StreamAnalysis::label_counts) and
+/// [`distinct_streams`](StreamAnalysis::distinct_streams), without the
+/// snapshot, the per-miss labels, the occurrences or the reuse
+/// distances. Expansion lengths are computed here by a memoized
+/// post-order pass, so the builder's push path keeps no extra state. A
+/// rule counts as seen once its length is known: computing the length
+/// of a root-level occurrence's rule visits exactly the rules its
+/// expansion emits, which is the labelled walk's `mark_seen`. Every
+/// live rule is reachable from the root (each non-root rule is
+/// referenced by a live body and the grammar is acyclic), so the rules
+/// the walk reaches are the distinct streams.
+pub fn count_streams(seq: &Sequitur) -> StreamCounts {
+    // lens[r]: expansion length of builder rule r, 0 while unseen (a
+    // live non-root rule expands to at least two terminals).
+    let mut lens = vec![0u64; seq.rule_bound()];
+    let mut stack: Vec<(RuleId, Body<'_>, u64)> = Vec::new();
+    let mut counts = StreamCounts::default();
+    for sym in seq.body(RuleId::ROOT) {
+        match sym {
+            GrammarSymbol::Terminal(_) => counts.non_repetitive += 1,
+            GrammarSymbol::Rule(rule) => match lens[rule.index()] {
+                0 => {
+                    let (len, reached) = expansion_len(seq, rule, &mut lens, &mut stack);
+                    counts.new_stream += len;
+                    counts.distinct_streams += reached;
+                }
+                len => counts.recurring_stream += len,
+            },
+        }
+    }
+    debug_assert_eq!(
+        counts.total(),
+        seq.input_len(),
+        "root walk must cover the input"
+    );
+    counts
+}
+
+/// Computes the expansion length of the unseen `rule` and of every
+/// unseen rule below it into `lens`, post-order on an explicit stack
+/// (`stack` is caller-provided scratch, left empty on return). Returns
+/// the length and the number of rules newly seen.
+fn expansion_len<'a>(
+    seq: &'a Sequitur,
+    rule: RuleId,
+    lens: &mut [u64],
+    stack: &mut Vec<(RuleId, Body<'a>, u64)>,
+) -> (u64, u64) {
+    debug_assert!(stack.is_empty());
+    let mut reached = 0;
+    stack.push((rule, seq.body(rule), 0));
+    loop {
+        let (_, body, acc) = stack
+            .last_mut()
+            .expect("stack holds the rule being measured");
+        match body.next() {
+            Some(GrammarSymbol::Terminal(_)) => *acc += 1,
+            Some(GrammarSymbol::Rule(sub)) => match lens[sub.index()] {
+                0 => stack.push((sub, seq.body(sub), 0)),
+                len => *acc += len,
+            },
+            None => {
+                let (done, _, len) = stack.pop().expect("checked above");
+                lens[done.index()] = len;
+                reached += 1;
+                match stack.last_mut() {
+                    Some((_, _, parent)) => *parent += len,
+                    None => return (len, reached),
+                }
+            }
+        }
     }
 }
 

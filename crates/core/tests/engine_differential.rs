@@ -8,11 +8,16 @@
 //! pure function of (grammar, records), and the engine's version-keyed
 //! memoization may never change an answer — only skip recomputing it.
 
+use tempstream_coherence::{MultiChipConfig, MultiChipSim, SingleChipConfig, SingleChipSim};
 use tempstream_core::engine::{AnalysisEngine, CoverageCounts, EngineConfig, StreamCounts};
 use tempstream_core::report::StrideJointReport;
+use tempstream_core::stages::emit_workload;
+use tempstream_core::StreamAnalysis;
+use tempstream_sequitur::Sequitur;
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::rng::SplitMix64;
-use tempstream_trace::{Block, CpuId, FunctionId, MissClass, ThreadId};
+use tempstream_trace::{Block, CpuId, FunctionId, MissClass, MissTrace, ThreadId};
+use tempstream_workloads::{Scale, Workload};
 
 fn seeded_records(seed: u64, n: usize, block_universe: u64) -> Vec<MissRecord<MissClass>> {
     let mut rng = SplitMix64::new(seed);
@@ -209,4 +214,160 @@ fn engine_snapshot_matches_batch_stages() {
 
     let analysis = engine.stream_analysis();
     assert_eq!(analysis.labels(), partial.labels.as_slice());
+}
+
+// --- The counts-only walk against the labelled walk -----------------
+//
+// `stream_counts()` walks the live builder in place; the labelled walk
+// (`StreamAnalysis::of_grammar`) runs over a grammar snapshot. The
+// server and its offline comparator both answer from the counts walk,
+// so these tests are what ties it to the paper's definition.
+
+/// The labelled walk's totals over a snapshot of `seq`, which must have
+/// been fed exactly the blocks of `retained`.
+fn labelled_counts<C: Copy>(seq: &Sequitur, retained: &[MissRecord<C>]) -> StreamCounts {
+    let num_cpus = retained.iter().map(|r| r.cpu.raw()).max().unwrap_or(0) + 1;
+    let analysis = StreamAnalysis::of_grammar(&seq.grammar(), retained, num_cpus);
+    let (non_repetitive, new_stream, recurring_stream) = analysis.label_counts();
+    StreamCounts {
+        non_repetitive,
+        new_stream,
+        recurring_stream,
+        distinct_streams: analysis.distinct_streams() as u64,
+    }
+}
+
+/// Feeds `records` to an engine in `k` chunks and to a reference
+/// builder beside it (up to the retention cap), and compares the two
+/// walks at every chunk boundary.
+fn assert_walks_agree_chunked<C: Copy>(
+    records: &[MissRecord<C>],
+    k: usize,
+    config: EngineConfig,
+    what: &str,
+) {
+    let mut engine: AnalysisEngine<C> = AnalysisEngine::new(config);
+    let mut seq = Sequitur::new();
+    let chunk = records.len().div_ceil(k).max(1);
+    let mut fed = 0usize;
+    for c in records.chunks(chunk) {
+        engine.push_records(c);
+        fed += c.len();
+        let retained = &records[..fed.min(config.max_retained)];
+        for r in &retained[seq.input_len() as usize..] {
+            seq.push(r.block.raw());
+        }
+        assert_eq!(
+            engine.stream_counts(),
+            labelled_counts(&seq, retained),
+            "{what}: k={k} prefix {fed}"
+        );
+    }
+    assert_eq!(
+        engine.stream_counts(),
+        labelled_counts(&seq, &records[..records.len().min(config.max_retained)]),
+        "{what}: k={k} final"
+    );
+}
+
+/// Compares the two walks at every prefix (one record per chunk) and
+/// at the chunk boundaries of K ∈ {1, 2, 7}.
+fn assert_walks_agree<C: Copy>(records: &[MissRecord<C>], config: EngineConfig, what: &str) {
+    for k in [1usize, 2, 7, records.len().max(1)] {
+        assert_walks_agree_chunked(records, k, config, what);
+    }
+}
+
+#[test]
+fn counts_walk_matches_labelled_walk_on_chunked_feeds() {
+    for (seed, n, universe) in [
+        (0xd1ff_0001u64, 700, 61),
+        (0xd1ff_0002, 1100, 199),
+        (0xd1ff_0004, 420, 31),
+        (0xd1ff_0006, 800, 89),
+    ] {
+        let records = seeded_records(seed, n, universe);
+        assert_walks_agree(
+            &records,
+            EngineConfig::default(),
+            &format!("seed={seed:#x}"),
+        );
+    }
+}
+
+#[test]
+fn counts_walk_matches_labelled_walk_past_the_retention_cap() {
+    let records = seeded_records(0xd1ff_0003, 900, 47);
+    let config = EngineConfig {
+        max_retained: 256,
+        ..EngineConfig::default()
+    };
+    assert_walks_agree(&records, config, "capped");
+}
+
+#[test]
+fn counts_walk_matches_labelled_walk_on_degenerate_traces() {
+    let config = EngineConfig::default();
+    assert_walks_agree::<MissClass>(&[], config, "empty");
+    assert_walks_agree(&seeded_records(0xd1ff_0005, 1, 7), config, "single miss");
+    let identical: Vec<MissRecord<MissClass>> = (0..64)
+        .map(|i| MissRecord {
+            block: Block::new(42),
+            cpu: CpuId::new(i % 2),
+            thread: ThreadId::new(0),
+            function: FunctionId::new(7),
+            class: MissClass::Replacement,
+        })
+        .collect();
+    assert_walks_agree(&identical, config, "identical addresses");
+    // Nested repetition: an inner stream first emitted inside an outer
+    // one must recur, not start anew, when it later occurs alone.
+    let nested: Vec<MissRecord<MissClass>> = [1u64, 2, 1, 2, 5, 1, 2, 1, 2, 6, 1, 2, 7, 1, 2]
+        .iter()
+        .map(|&b| MissRecord {
+            block: Block::new(b),
+            cpu: CpuId::new(0),
+            thread: ThreadId::new(0),
+            function: FunctionId::new(0),
+            class: MissClass::Replacement,
+        })
+        .collect();
+    assert_walks_agree(&nested, config, "nested");
+}
+
+/// Compares the two walks over a simulator miss trace at 16 evenly
+/// spaced prefixes and at its end.
+fn assert_walks_agree_on_trace<C: Copy>(trace: &MissTrace<C>, what: &str) {
+    let records = trace.records();
+    assert!(!records.is_empty(), "{what}: empty trace");
+    let config = EngineConfig {
+        max_retained: usize::MAX,
+        ..EngineConfig::default()
+    };
+    assert_walks_agree_chunked(records, 16, config, what);
+}
+
+#[test]
+fn counts_walk_matches_labelled_walk_on_the_golden_traces() {
+    // The smoke-scale traces `tests/grammar_golden.rs` pins the grammars
+    // of: every workload on the paper geometry, multi-chip, single-chip
+    // off-chip and intra-chip.
+    const SEED: u64 = 0x715C_2008;
+    const SCALE: Scale = Scale {
+        warmup_ops: 20,
+        ops: 150,
+    };
+    for w in Workload::ALL {
+        let mut mc = MultiChipSim::new(MultiChipConfig::paper());
+        mc.set_recording(false);
+        let out = emit_workload(w, mc.config().nodes, SEED, SCALE, &mut mc);
+        assert_walks_agree_on_trace(&mc.finish(out.instructions), &format!("{w:?} multi-chip"));
+
+        let mut sc = SingleChipSim::new(SingleChipConfig::paper());
+        sc.set_recording(false);
+        let out = emit_workload(w, sc.config().cores, SEED, SCALE, &mut sc);
+        let traces = sc.finish(out.instructions);
+        assert_walks_agree_on_trace(&traces.off_chip, &format!("{w:?} single-chip"));
+        assert_walks_agree_on_trace(&traces.intra_chip, &format!("{w:?} intra-chip"));
+    }
 }

@@ -102,6 +102,34 @@ struct RuleData {
     alive: bool,
 }
 
+/// The symbols of one live rule body, read in place: returned by
+/// [`Sequitur::body`].
+#[derive(Debug, Clone)]
+pub struct Body<'a> {
+    nodes: &'a [Node],
+    guard: NodeId,
+    cur: NodeId,
+}
+
+impl Iterator for Body<'_> {
+    type Item = GrammarSymbol;
+
+    #[inline]
+    fn next(&mut self) -> Option<GrammarSymbol> {
+        if self.cur == self.guard {
+            return None;
+        }
+        let n = &self.nodes[self.cur as usize];
+        debug_assert!(!n.sym.is_guard(), "guard inside rule body");
+        self.cur = n.next;
+        Some(match n.sym.rule_ref() {
+            Some(r) => GrammarSymbol::Rule(RuleId::from_raw(r)),
+            // A terminal's word is its value (tag 0).
+            None => GrammarSymbol::Terminal(n.sym.0),
+        })
+    }
+}
+
 /// Incremental SEQUITUR grammar builder.
 ///
 /// Feed the input with [`push`](Sequitur::push), then call
@@ -236,11 +264,11 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Snapshots the current grammar without consuming the builder, with
     /// contiguously renumbered rules (root first).
     ///
-    /// This is what lets `tempstream-serve` answer stream queries from a
-    /// live, still-growing builder: the snapshot over the first `n`
-    /// pushed symbols is identical to `into_grammar()` on a fresh
-    /// builder fed the same `n` symbols, because SEQUITUR is an online
-    /// algorithm whose state depends only on the input prefix.
+    /// The snapshot over the first `n` pushed symbols is identical to
+    /// `into_grammar()` on a fresh builder fed the same `n` symbols,
+    /// because SEQUITUR is an online algorithm whose state depends only
+    /// on the input prefix. Readers that need only a walk can skip the
+    /// copy and read the builder in place with [`body`](Self::body).
     pub fn grammar(&self) -> Grammar {
         // Map live internal rule ids -> contiguous output ids, root first.
         let mut mapping: Vec<Option<RuleId>> = vec![None; self.rules.len()];
@@ -256,24 +284,49 @@ impl<H: BuildHasher> Sequitur<H> {
             if !r.alive {
                 continue;
             }
-            let mut body = Vec::new();
-            let mut cur = self.nodes[r.guard as usize].next;
-            while cur != r.guard {
-                let n = &self.nodes[cur as usize];
-                debug_assert!(!n.sym.is_guard(), "guard inside rule body");
-                body.push(match n.sym.rule_ref() {
-                    Some(rid) => {
-                        GrammarSymbol::Rule(mapping[rid as usize].expect("reference to dead rule"))
+            let body = self
+                .body(RuleId::from_raw(i as u32))
+                .map(|sym| match sym {
+                    GrammarSymbol::Rule(rid) => {
+                        GrammarSymbol::Rule(mapping[rid.index()].expect("reference to dead rule"))
                     }
-                    // A terminal's word is its value (tag 0).
-                    None => GrammarSymbol::Terminal(n.sym.0),
-                });
-                cur = n.next;
-            }
+                    terminal => terminal,
+                })
+                .collect();
             bodies.push(body);
             debug_assert_eq!(mapping[i], Some(RuleId::new(bodies.len() - 1)));
         }
         Grammar::from_bodies(bodies)
+    }
+
+    /// One past the largest builder-internal rule id, live or deleted:
+    /// the length of a table indexed by the rule ids [`body`](Self::body)
+    /// yields.
+    pub fn rule_bound(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// Reads the body of a live rule in place, without copying the
+    /// grammar. [`RuleId::ROOT`] is the root rule.
+    ///
+    /// The rule ids inside [`GrammarSymbol::Rule`] are the builder's
+    /// internal ids: they are below [`rule_bound`](Self::rule_bound) and
+    /// always name live rules, but they are not contiguous and differ
+    /// from the ids of a [`grammar`](Self::grammar) snapshot. Use them
+    /// only as indices and to call `body` again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rule` is at or past [`rule_bound`](Self::rule_bound);
+    /// debug builds also panic if `rule` was deleted.
+    pub fn body(&self, rule: RuleId) -> Body<'_> {
+        let data = &self.rules[rule.index()];
+        debug_assert!(data.alive, "body of deleted rule {rule}");
+        Body {
+            nodes: &self.nodes,
+            guard: data.guard,
+            cur: self.nodes[data.guard as usize].next,
+        }
     }
 
     // --- node & rule management ------------------------------------------
@@ -811,6 +864,49 @@ mod tests {
             a.into_grammar().reconstruct(),
             b.into_grammar().reconstruct()
         );
+    }
+
+    /// Expands `rule` through the in-place body view.
+    fn expand_live(s: &Sequitur, rule: RuleId, out: &mut Vec<u64>, reached: &mut [bool]) {
+        for sym in s.body(rule) {
+            match sym {
+                GrammarSymbol::Terminal(t) => out.push(t),
+                GrammarSymbol::Rule(r) => {
+                    reached[r.index()] = true;
+                    expand_live(s, r, out, reached);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn body_view_reads_the_live_grammar_in_place() {
+        let pattern = [7u64, 3, 7, 3, 9, 7, 3, 1, 2, 1, 2, 9, 9, 9];
+        let input: Vec<u64> = pattern.iter().cycle().take(150).copied().collect();
+        let mut live = Sequitur::new();
+        for (n, &sym) in input.iter().enumerate() {
+            live.push(sym);
+            let mut out = Vec::new();
+            let mut reached = vec![false; live.rule_bound()];
+            expand_live(&live, RuleId::ROOT, &mut out, &mut reached);
+            assert_eq!(out, input[..=n], "prefix {n}");
+            // Every live non-root rule is reachable from the root.
+            let reached = reached.iter().filter(|&&r| r).count();
+            assert_eq!(reached + 1, live.live_rules(), "prefix {n}");
+            assert_eq!(live.rule_bound(), live.rules_created());
+        }
+        // The view and the snapshot agree on the root body's shape.
+        let snap = live.grammar();
+        let root: Vec<bool> = live
+            .body(RuleId::ROOT)
+            .map(|s| matches!(s, GrammarSymbol::Rule(_)))
+            .collect();
+        let want: Vec<bool> = snap
+            .rule_body(RuleId::ROOT)
+            .iter()
+            .map(|s| matches!(s, GrammarSymbol::Rule(_)))
+            .collect();
+        assert_eq!(root, want);
     }
 
     #[test]

@@ -15,6 +15,11 @@ impl RuleId {
         RuleId(u32::try_from(index).expect("rule id overflow"))
     }
 
+    /// Wraps a raw id (the builder's internal rule ids).
+    pub(crate) const fn from_raw(id: u32) -> Self {
+        RuleId(id)
+    }
+
     /// The rule's index.
     pub const fn index(self) -> usize {
         self.0 as usize

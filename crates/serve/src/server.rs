@@ -78,7 +78,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::queue::{PushError, ReplyQueue, ShardQueues};
 use crate::shard::{
@@ -90,7 +90,7 @@ use crate::wire::{
     ERR_DRAINING, ERR_OVERSIZED,
 };
 use tempstream_fxhash::FxHashMap;
-use tempstream_obsv::{Counter, Registry};
+use tempstream_obsv::{Counter, Histogram, Registry};
 use tempstream_runtime::pool;
 use tempstream_runtime::sync::{Arc, Condvar, Mutex};
 use tempstream_trace::miss::MissRecord;
@@ -160,40 +160,68 @@ struct Conns {
     peak: usize,
 }
 
-/// Counter handles bumped on the hot paths (cheap `Arc` clones; the
-/// registry map lock is taken once here, not per event).
+/// Counter and histogram handles bumped on the hot paths (cheap `Arc`
+/// clones; the registry map lock is taken once here, not per event).
+///
+/// Every dispatched request frame counts once in `frames_received` and
+/// once in exactly one outcome, so once no frame is mid-dispatch
+/// `received == acked + busy + errors + queries + shutdown` (the soak
+/// gates assert it). Frames that fail to decode never reach dispatch
+/// and count in `frames_decode_errors` alone.
 struct Metrics {
     frames_received: Counter,
+    /// Ingest frames admitted whole and answered `IngestAck`.
+    frames_acked: Counter,
+    /// Ingest frames refused whole with `Busy` (a full lane).
     frames_busy: Counter,
+    /// Dispatched frames answered `Error`: ingest while draining, or a
+    /// reply-direction frame sent as a request.
     frames_errors: Counter,
-    /// With reader-side routing there is no drop path left between
-    /// admission and a shard lane (admission *is* the lane push), so
-    /// this stays pinned at zero; it remains registered because the
-    /// soak gates assert `frames/dropped == 0` on every snapshot.
-    _frames_dropped: Counter,
+    /// `Shutdown` frames.
+    frames_shutdown: Counter,
+    /// Byte streams that failed to decode into a frame.
+    frames_decode_errors: Counter,
+    /// v1 replies too large for one frame, sent as `Error{ERR_OVERSIZED}`
+    /// (the request already counted as a query).
+    replies_oversized: Counter,
     records_ingested: Counter,
     records_applied: Counter,
     records_rejected: Counter,
     conn_accepted: Counter,
     conn_rejected: Counter,
+    /// Query frames of every kind.
     queries: Counter,
+    /// Per consistent cut: µs waiting for the applied watermark.
+    cut_wait_us: Histogram,
+    /// Per consistent cut: µs all shard guards are held.
+    cut_held_us: Histogram,
 }
 
 impl Metrics {
     fn new(registry: &Registry) -> Self {
         Metrics {
             frames_received: registry.counter("serve/frames/received"),
+            frames_acked: registry.counter("serve/frames/acked"),
             frames_busy: registry.counter("serve/frames/busy"),
             frames_errors: registry.counter("serve/frames/errors"),
-            _frames_dropped: registry.counter("serve/frames/dropped"),
+            frames_shutdown: registry.counter("serve/frames/shutdown"),
+            frames_decode_errors: registry.counter("serve/frames/decode_errors"),
+            replies_oversized: registry.counter("serve/replies/oversized"),
             records_ingested: registry.counter("serve/records/ingested"),
             records_applied: registry.counter("serve/records/applied"),
             records_rejected: registry.counter("serve/records/rejected"),
             conn_accepted: registry.counter("serve/conn/accepted"),
             conn_rejected: registry.counter("serve/conn/rejected"),
             queries: registry.counter("serve/queries"),
+            cut_wait_us: registry.histogram("serve/query/cut_wait_us"),
+            cut_held_us: registry.histogram("serve/query/cut_held_us"),
         }
     }
+}
+
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// The difference `now - before` as a signed delta (saturating at the
@@ -339,10 +367,24 @@ impl Shared {
     /// order) and merges with `f` — a consistent cut across shards.
     /// `f` also receives the applied watermark of the cut. Guards are
     /// handed out mutably so queries can hit the per-shard caches.
+    ///
+    /// Records one `serve/query/cut_wait_us` sample (the watermark
+    /// wait) and one `serve/query/cut_held_us` sample (from the last
+    /// guard taken to the guards' release) per cut, both after the
+    /// guards are released — so a metrics snapshot shows the cuts
+    /// before its own.
     fn with_consistent_cut<T>(&self, f: impl FnOnce(u64, &mut [ShardGuard<'_>]) -> T) -> T {
+        let start = Instant::now();
         let applied = self.wait_applied();
+        let waited = start.elapsed();
         let mut guards: Vec<ShardGuard<'_>> = self.shard_states.iter().map(Mutex::lock).collect();
-        f(applied, &mut guards)
+        let locked = Instant::now();
+        let out = f(applied, &mut guards);
+        drop(guards);
+        let held = locked.elapsed();
+        self.metrics.cut_wait_us.record(micros(waited));
+        self.metrics.cut_held_us.record(micros(held));
+        out
     }
 
     /// Computes the reply for one decoded request. Returns the reply
@@ -380,6 +422,7 @@ impl Shared {
                     match self.shard_queues.try_push_batches(scratch) {
                         Ok(()) => {
                             p.enqueued += n;
+                            self.metrics.frames_acked.inc();
                             self.metrics.records_ingested.add(n);
                             Frame::IngestAck(n as u32)
                         }
@@ -466,6 +509,7 @@ impl Shared {
                 (Frame::MetricsReply(json), true)
             }
             Frame::Shutdown => {
+                self.metrics.frames_shutdown.inc();
                 self.begin_drain();
                 self.wait_drained();
                 (Frame::ShutdownAck, false)
@@ -657,7 +701,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
                 Err(e) => {
                     // Decode failure: the stream offset can no longer
                     // be trusted. Report and tear down.
-                    shared.metrics.frames_errors.inc();
+                    shared.metrics.frames_decode_errors.inc();
                     let _ = replies.push((
                         None,
                         Frame::Error {
@@ -701,7 +745,7 @@ fn run_conn_writer(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies
     while let Some((seq, frame)) = replies.pop() {
         buf.clear();
         if encode_message(seq, &frame, &mut buf).is_err() {
-            shared.metrics.frames_errors.inc();
+            shared.metrics.replies_oversized.inc();
             let oversized = Frame::Error {
                 code: ERR_OVERSIZED,
                 message: "reply exceeds the v1 frame cap; retry over protocol v2".to_string(),

@@ -93,7 +93,7 @@ impl ShardState {
         self.engine.overflow()
     }
 
-    /// Stream counts from a grammar snapshot of the live builder —
+    /// Stream counts from the counts-only walk of the live builder —
     /// bit-identical to batch-analyzing this shard's retained records.
     ///
     /// Memoized on [`version()`](ShardState::version) by the engine:

@@ -1065,3 +1065,131 @@ fn draining_server_refuses_new_ingest_but_acked_records_survive() {
         "listener closed after drain"
     );
 }
+
+// --- server-side accounting ------------------------------------------------
+
+/// Takes a metrics snapshot and returns a reader of its integer leaves.
+fn metrics(conn: &mut TcpStream) -> impl Fn(&str) -> u64 {
+    let parsed = match call(conn, &Frame::QueryMetricsSnapshot) {
+        Frame::MetricsReply(json) => tempstream_obsv::Json::parse(&json).expect("valid JSON"),
+        other => panic!("unexpected metrics reply: {other:?}"),
+    };
+    move |path: &str| {
+        parsed
+            .get_path(path)
+            .and_then(tempstream_obsv::Json::as_u64)
+            .unwrap_or_else(|| panic!("missing metric {path}"))
+    }
+}
+
+/// Every dispatched frame ends as exactly one outcome, so the outcome
+/// counters add up to `frames/received`; a byte stream that never
+/// decodes is counted apart and not received.
+#[test]
+fn frame_outcomes_add_up_to_frames_received() {
+    use std::io::Write;
+    let records = seeded_records(0xacc7, 3000);
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 2,
+        // Tiny lanes, so some ingest frames may be refused with Busy.
+        shard_queue_capacity: 1,
+        ..ServerConfig::default()
+    });
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let (mut acks, mut busies) = (0u64, 0u64);
+    for chunk in records.chunks(50) {
+        loop {
+            match call(&mut conn, &Frame::Ingest(chunk.to_vec())) {
+                Frame::IngestAck(n) => {
+                    assert_eq!(n as usize, chunk.len());
+                    acks += 1;
+                    break;
+                }
+                Frame::Busy => busies += 1,
+                other => panic!("unexpected ingest reply: {other:?}"),
+            }
+        }
+    }
+    let mut queries = 0u64;
+    for request in [
+        Frame::QueryStreamFraction,
+        Frame::QueryCoverage,
+        Frame::QueryTopOrigins(4),
+    ] {
+        call(&mut conn, &request);
+        queries += 1;
+    }
+    query_delta(&mut conn, 1);
+    queries += 1;
+
+    // A reply-direction frame: dispatched, answered with an error.
+    let mut wrong = TcpStream::connect(&addr).expect("connect");
+    match call(&mut wrong, &Frame::Busy) {
+        Frame::Error { code, .. } => assert_eq!(code, ERR_BAD_FRAME),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    // Garbage: never decodes, so never dispatched.
+    let mut garbage = TcpStream::connect(&addr).expect("connect");
+    garbage.write_all(&u32::MAX.to_le_bytes()).expect("send");
+    garbage.write_all(&[0xAA; 32]).expect("send");
+    assert!(matches!(read_frame(&mut garbage), Ok(Frame::Error { .. })));
+
+    let at = metrics(&mut conn);
+    queries += 1; // the snapshot itself
+    let received = at("counters/serve/frames/received");
+    assert_eq!(at("counters/serve/frames/acked"), acks);
+    assert_eq!(at("counters/serve/frames/busy"), busies);
+    assert_eq!(at("counters/serve/frames/errors"), 1);
+    assert_eq!(at("counters/serve/frames/shutdown"), 0);
+    assert_eq!(at("counters/serve/frames/decode_errors"), 1);
+    assert_eq!(at("counters/serve/queries"), queries);
+    assert_eq!(received, acks + busies + 1 + queries);
+    assert_eq!(
+        received,
+        at("counters/serve/frames/acked")
+            + at("counters/serve/frames/busy")
+            + at("counters/serve/frames/errors")
+            + at("counters/serve/queries")
+            + at("counters/serve/frames/shutdown"),
+        "frame outcomes must add up to the frames received"
+    );
+    assert_eq!(
+        at("counters/serve/records/ingested"),
+        at("counters/serve/records/applied")
+    );
+    assert_eq!(at("counters/serve/records/ingested"), records.len() as u64);
+    shutdown(&mut conn);
+    handle.join().expect("server thread").expect("server run");
+}
+
+/// Each consistent cut records one watermark-wait and one guards-held
+/// sample, after it releases the guards: a snapshot taken after N cut
+/// queries shows N samples in each histogram.
+#[test]
+fn every_consistent_cut_is_timed() {
+    let records = seeded_records(0xc07, 1200);
+    let (addr, handle) = start_server(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut cuts = 0u64;
+    for (i, chunk) in records.chunks(300).enumerate() {
+        ingest_all(&mut conn, chunk, 100);
+        call(&mut conn, &Frame::QueryStreamFraction);
+        call(&mut conn, &Frame::QueryCoverage);
+        call(&mut conn, &Frame::QueryTopOrigins(3));
+        query_delta(&mut conn, i as u32 + 1);
+        cuts += 4;
+    }
+    // A metrics snapshot is a cut too; it shows the cuts before it.
+    let at = metrics(&mut conn);
+    assert_eq!(at("histograms/serve/query/cut_wait_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/cut_held_us/count"), cuts);
+    cuts += 1;
+    let at = metrics(&mut conn);
+    assert_eq!(at("histograms/serve/query/cut_wait_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/cut_held_us/count"), cuts);
+    shutdown(&mut conn);
+    handle.join().expect("server thread").expect("server run");
+}
