@@ -22,9 +22,12 @@
 #      must account for every frame received by its outcome and show
 #      every ingested record applied, and the server must drain cleanly.
 #      Run twice: half-duplex v1, then pipelined v2 (--window 8 with
-#      interleaved QueryDelta probes), whose throughput must not fall
-#      below the single-in-flight baseline
-#  11. perf smoke gate: the parallel pipeline must not be slower than
+#      interleaved QueryDelta probes)
+#  11. serve throughput gate: over five alternating pairs of runs, each
+#      against a fresh server, the median ratio of pipelined
+#      (--window 8) to single-in-flight throughput must not fall below
+#      1.0 (0.8 on one core)
+#  12. perf smoke gate: the parallel pipeline must not be slower than
 #      the serial runner (reduced sample count via
 #      TEMPSTREAM_BENCH_SAMPLES), plus the serve ingest bench emitting
 #      BENCH_serve.json (pipelined 1/2/4-shard runs and the
@@ -77,6 +80,21 @@ echo "== determinism gate: reproduce --jobs 1 vs --jobs 4 =="
 # and progress go to stderr by design so stdout can be diffed.
 det_dir=$(mktemp -d)
 trap 'rm -rf "$det_dir"' EXIT
+
+# Starts `serve --shards 2` plus any further arguments in the
+# background with stdout in "$1" and stderr in "$2"; sets serve_pid, and
+# serve_addr once the server prints LISTENING (empty if it never does
+# within 10 s).
+start_server() {
+  ./target/release/serve --shards 2 "${@:3}" >"$1" 2>"$2" &
+  serve_pid=$!
+  serve_addr=""
+  for _ in $(seq 1 100); do
+    serve_addr=$(awk '/^LISTENING /{ print $2 }' "$1")
+    [ -n "$serve_addr" ] && break
+    sleep 0.1
+  done
+}
 ./target/release/reproduce all --quick --jobs 1 >"$det_dir/jobs1.out" 2>/dev/null
 ./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
 diff "$det_dir/jobs1.out" "$det_dir/jobs4.out" \
@@ -119,14 +137,7 @@ echo "== serve soak: loopback ingest + verify + drain =="
 # accounted for: the frames received equal those acked, refused with
 # Busy, answered with an error, queries and shutdowns, and every
 # ingested record was applied.
-./target/release/serve --shards 2 >"$det_dir/serve.out" 2>"$det_dir/serve.err" &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 100); do
-  serve_addr=$(awk '/^LISTENING /{ print $2 }' "$det_dir/serve.out")
-  [ -n "$serve_addr" ] && break
-  sleep 0.1
-done
+start_server "$det_dir/serve.out" "$det_dir/serve.err"
 [ -n "$serve_addr" ] \
   || { echo "serve soak FAILED: server never printed LISTENING"; cat "$det_dir/serve.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
 ./target/release/serve-load --addr "$serve_addr" --shards 2 --verify \
@@ -146,27 +157,13 @@ jq -e '.verify == "exact"
     "$det_dir/serve_metrics.json" >/dev/null \
   || { echo "serve soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve_metrics.json"; exit 1; }
 echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, $(jq -r '.metrics.counters.serve.frames.received' "$det_dir/serve_metrics.json") frames accounted for, clean drain"
-base_rps=$(jq -r '.records_per_sec' "$det_dir/serve_metrics.json")
 
 echo "== serve soak: pipelined window=8 + incremental deltas =="
 # Same soak over protocol v2: eight frames in flight on one connection
-# with QueryDelta probes interleaved. Verification is still bit-exact
-# (the client reconstructs the ack order and telescopes the deltas
-# against the offline comparator), and pipelining must not be slower
-# than the single-in-flight baseline above — that throughput win is the
-# point of the feature. On a single CPU there is no idle round-trip
-# time for pipelining to hide, and the delta probes' consistent-cut
-# stalls cost real work, so — like the perf smoke gate below — the
-# single-core form of the gate only demands the pipelined path stays
-# within 20% of the baseline instead of beating it.
-./target/release/serve --shards 2 >"$det_dir/serve8.out" 2>"$det_dir/serve8.err" &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 100); do
-  serve_addr=$(awk '/^LISTENING /{ print $2 }' "$det_dir/serve8.out")
-  [ -n "$serve_addr" ] && break
-  sleep 0.1
-done
+# with QueryDelta probes interleaved. Verification is still bit-exact:
+# the client reconstructs the ack order and telescopes the deltas
+# against the offline comparator. Throughput is the next gate's job.
+start_server "$det_dir/serve8.out" "$det_dir/serve8.err"
 [ -n "$serve_addr" ] \
   || { echo "pipelined soak FAILED: server never printed LISTENING"; cat "$det_dir/serve8.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
 ./target/release/serve-load --addr "$serve_addr" --shards 2 --verify --window 8 \
@@ -187,12 +184,48 @@ jq -e '.verify == "exact"
        and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
     "$det_dir/serve8_metrics.json" >/dev/null \
   || { echo "pipelined soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve8_metrics.json"; exit 1; }
-pipe_rps=$(jq -r '.records_per_sec' "$det_dir/serve8_metrics.json")
+echo "pipelined soak: exact verify, $(jq -r '.delta_queries' "$det_dir/serve8_metrics.json") delta queries, clean drain"
+
+echo "== serve throughput: pipelined window=8 vs window=1 =="
+# Pipelining must not be slower than one frame in flight — that
+# throughput win is the point of the feature. One ~6 ms soak run per
+# side cannot tell that apart from host noise, so this gate runs five
+# alternating pairs, each run against a fresh server, at 4x the soak's
+# bytes (~50k records, ~200 frames) and without --verify, so no
+# QueryDelta probes stall the window, and compares the median of the
+# per-pair window-8/window-1 ratios: the two runs of a pair are
+# adjacent in time, so a drift in host speed cancels out of each ratio.
+# Each shard lane holds 256 sub-batches, more than one run sends, so
+# Busy backpressure (and the client's backoff after it) cannot decide
+# the comparison. On a single CPU there is no idle round-trip time for
+# pipelining to hide, so — like the perf smoke gate below — the
+# single-core form of the gate only demands the pipelined path stays
+# within 20% of the baseline instead of beating it.
+ratios=""
+for run in 1 2 3 4 5; do
+  for window in 1 8; do
+    # A fresh output file per server: reusing one could hand this run the
+    # previous server's LISTENING line before the new one truncates it.
+    tput="$det_dir/tput_${run}_w$window"
+    start_server "$tput.out" "$tput.err" --shard-queue 256
+    [ -n "$serve_addr" ] \
+      || { echo "serve throughput FAILED: server never printed LISTENING"; cat "$tput.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
+    ./target/release/serve-load --addr "$serve_addr" --shards 2 --window "$window" \
+        --bytes 1048576 --batch 256 --metrics-out "$tput.json" --shutdown >/dev/null \
+      || { echo "serve throughput FAILED: serve-load exited non-zero (run $run, window $window)"; kill "$serve_pid" 2>/dev/null; exit 1; }
+    wait "$serve_pid" \
+      || { echo "serve throughput FAILED: server exited non-zero"; exit 1; }
+  done
+  ratios="$ratios $(jq -rs '.[1].records_per_sec / .[0].records_per_sec' \
+    "$det_dir/tput_${run}_w1.json" "$det_dir/tput_${run}_w8.json")"
+done
+# One ratio per pair; the list is unquoted on purpose.
+ratio=$(printf '%s\n' $ratios | sort -g | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }')
 cores=$(nproc 2>/dev/null || echo 1)
 rps_factor=$([ "$cores" -le 1 ] && echo 0.8 || echo 1.0)
-awk -v p="$pipe_rps" -v b="$base_rps" -v f="$rps_factor" 'BEGIN { exit !(p >= b * f) }' \
-  || { echo "pipelined soak FAILED: window=8 throughput $pipe_rps rec/s < ${rps_factor}x window=1 baseline $base_rps rec/s (cores: $cores)"; exit 1; }
-echo "pipelined soak: exact verify, $(jq -r '.delta_queries' "$det_dir/serve8_metrics.json") delta queries, $pipe_rps rec/s (baseline $base_rps, factor $rps_factor), clean drain"
+awk -v r="$ratio" -v f="$rps_factor" 'BEGIN { exit !(r >= f) }' \
+  || { echo "serve throughput FAILED: median window=8/window=1 throughput ratio $ratio < $rps_factor (pairs:$ratios; cores: $cores)"; exit 1; }
+echo "serve throughput: median window=8/window=1 throughput ratio $ratio over pairs$ratios (factor $rps_factor, cores: $cores)"
 
 echo "== perf smoke: parallel/4w vs serial =="
 # Three samples keep this a smoke test, not a benchmark: it exists to

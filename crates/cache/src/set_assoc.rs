@@ -7,33 +7,43 @@ use tempstream_trace::Block;
 /// A set-associative cache with true-LRU replacement, generic over a
 /// per-line payload `T` (typically a coherence state).
 ///
-/// Each set is a small vector ordered most-recently-used first; with the
-/// paper's associativities (2 and 16) move-to-front is both exact LRU and
-/// fast.
+/// All lines live in one flat `num_sets × associativity` array: set `s`
+/// owns the slice starting at `s * associativity`, its first `lens[s]`
+/// slots hold the resident lines most-recently-used first, and the rest
+/// are filler. Move-to-front is a `rotate_right` inside that slice, so a
+/// lookup touches one contiguous run of lines and no per-set heap
+/// allocation; with the paper's associativities (2 and 16) it is both
+/// exact LRU and fast.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
     config: CacheConfig,
     set_mask: u64,
-    sets: Vec<Vec<Line<T>>>,
+    assoc: usize,
+    lines: Vec<Line<T>>,
+    /// Resident lines per set.
+    lens: Vec<u32>,
     stats: CacheStats,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Line<T> {
     block: Block,
     payload: T,
 }
 
-impl<T> SetAssocCache<T> {
+impl<T: Default> SetAssocCache<T> {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        let assoc = config.associativity as usize;
         SetAssocCache {
             config,
             set_mask: num_sets - 1,
-            sets: (0..num_sets)
-                .map(|_| Vec::with_capacity(config.associativity as usize))
+            assoc,
+            lines: (0..num_sets as usize * assoc)
+                .map(|_| Line::default())
                 .collect(),
+            lens: vec![0; num_sets as usize],
             stats: CacheStats::default(),
         }
     }
@@ -52,9 +62,28 @@ impl<T> SetAssocCache<T> {
         (block.raw() & self.set_mask) as usize
     }
 
+    /// The resident lines of `block`'s set, MRU first.
+    fn set(&self, block: Block) -> &[Line<T>] {
+        let s = self.set_index(block);
+        let base = s * self.assoc;
+        &self.lines[base..base + self.lens[s] as usize]
+    }
+
+    /// `block`'s whole slot slice (resident lines first, then filler),
+    /// its resident-line count, and the statistics, borrowed apart.
+    fn set_mut(&mut self, block: Block) -> (&mut [Line<T>], &mut u32, &mut CacheStats) {
+        let s = self.set_index(block);
+        let base = s * self.assoc;
+        (
+            &mut self.lines[base..base + self.assoc],
+            &mut self.lens[s],
+            &mut self.stats,
+        )
+    }
+
     /// Looks up `block` without updating LRU order or statistics.
     pub fn probe(&self, block: Block) -> Option<&T> {
-        self.sets[self.set_index(block)]
+        self.set(block)
             .iter()
             .find(|l| l.block == block)
             .map(|l| &l.payload)
@@ -63,15 +92,13 @@ impl<T> SetAssocCache<T> {
     /// Looks up `block`, and on a hit moves it to MRU and returns a mutable
     /// reference to its payload. Records a hit or miss in the statistics.
     pub fn touch(&mut self, block: Block) -> Option<&mut T> {
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.block == block) {
-            self.stats.hits += 1;
-            let line = set.remove(pos);
-            set.insert(0, line);
+        let (set, len, stats) = self.set_mut(block);
+        if let Some(pos) = set[..*len as usize].iter().position(|l| l.block == block) {
+            stats.hits += 1;
+            set[..=pos].rotate_right(1);
             Some(&mut set[0].payload)
         } else {
-            self.stats.misses += 1;
+            stats.misses += 1;
             None
         }
     }
@@ -79,8 +106,8 @@ impl<T> SetAssocCache<T> {
     /// Returns a mutable reference to the payload of `block` without
     /// changing LRU order or statistics.
     pub fn peek_mut(&mut self, block: Block) -> Option<&mut T> {
-        let set_idx = self.set_index(block);
-        self.sets[set_idx]
+        let (set, len, _) = self.set_mut(block);
+        set[..*len as usize]
             .iter_mut()
             .find(|l| l.block == block)
             .map(|l| &mut l.payload)
@@ -94,31 +121,36 @@ impl<T> SetAssocCache<T> {
     /// Panics in debug builds if `block` is already present (callers must
     /// `touch`/`peek_mut` existing lines instead).
     pub fn insert(&mut self, block: Block, payload: T) -> Option<(Block, T)> {
-        let assoc = self.config.associativity as usize;
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
+        let (set, len, stats) = self.set_mut(block);
+        let n = *len as usize;
         debug_assert!(
-            set.iter().all(|l| l.block != block),
+            set[..n].iter().all(|l| l.block != block),
             "insert of already-present block {block}"
         );
-        let victim = if set.len() == assoc {
-            let lru = set.pop().expect("non-empty full set");
-            self.stats.evictions += 1;
-            Some((lru.block, lru.payload))
+        // The slot that rotates to the front: the LRU line of a full set,
+        // else the first filler slot.
+        let used = (n + 1).min(set.len());
+        set[..used].rotate_right(1);
+        let old = std::mem::replace(&mut set[0], Line { block, payload });
+        if n == set.len() {
+            stats.evictions += 1;
+            Some((old.block, old.payload))
         } else {
+            *len += 1;
             None
-        };
-        set.insert(0, Line { block, payload });
-        victim
+        }
     }
 
     /// Removes `block`, returning its payload if it was present.
     pub fn invalidate(&mut self, block: Block) -> Option<T> {
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|l| l.block == block)?;
-        self.stats.invalidations += 1;
-        Some(set.remove(pos).payload)
+        let (set, len, stats) = self.set_mut(block);
+        let n = *len as usize;
+        let pos = set[..n].iter().position(|l| l.block == block)?;
+        set[pos..n].rotate_left(1);
+        let line = std::mem::take(&mut set[n - 1]);
+        *len -= 1;
+        stats.invalidations += 1;
+        Some(line.payload)
     }
 
     /// Returns `true` if `block` is cached.
@@ -128,19 +160,20 @@ impl<T> SetAssocCache<T> {
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Returns `true` if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.lens.iter().all(|&n| n == 0)
     }
 
     /// Iterates over resident `(block, payload)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Block, &T)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|l| (l.block, &l.payload)))
+        self.lines
+            .chunks_exact(self.assoc)
+            .zip(&self.lens)
+            .flat_map(|(set, &n)| set[..n as usize].iter().map(|l| (l.block, &l.payload)))
     }
 }
 

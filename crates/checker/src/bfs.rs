@@ -48,7 +48,7 @@ pub trait Model {
 }
 
 /// Outcome of applying one local event to a vector of per-cache states
-/// by raw table lookup (independent of the simulators' `ProtocolEngine`,
+/// by raw table lookup (independent of the simulators' `ProtocolTable`,
 /// so the checker cross-checks the tables, not the engine).
 pub struct VecOutcome<S: 'static> {
     /// Successor per-cache states.
@@ -123,6 +123,29 @@ pub fn apply_vec<S: ProtocolState>(
         remotes,
         fired,
     })
+}
+
+/// Checks that a local read at every agent holding a valid copy is a
+/// silent hit: a `Hit` that leaves every agent's state unchanged. The
+/// simulators answer such reads from the cache alone, without stepping
+/// the table, so a row that moves any state on a read hit would make
+/// them diverge from the table. Returns one message per offending agent.
+pub fn silent_read_hit_violations<S: ProtocolState>(
+    spec: &'static ProtocolSpec<S>,
+    states: &[S],
+) -> Vec<String> {
+    (0..states.len())
+        .filter(|&i| states[i].is_valid())
+        .filter_map(|i| {
+            let out = apply_vec(spec, states, i, Event::LocalRead).ok()?;
+            (out.local.action != Action::Hit || out.next != states).then(|| {
+                format!(
+                    "Read({i}) in {states:?} takes {:?} and leads to {:?}",
+                    out.local.action, out.next
+                )
+            })
+        })
+        .collect()
 }
 
 /// Successor states plus the `(state index, event)` rows an

@@ -11,7 +11,7 @@
 //! are tiny (hundreds to a few thousand configurations), so the check is
 //! a proof by exhaustion, not a sampling.
 //!
-//! Five invariant classes are verified in every reachable configuration:
+//! Six invariant classes are verified in every reachable configuration:
 //!
 //! 1. **SWMR** — a writable (Modified) copy excludes every other valid
 //!    copy, including the shared L2's;
@@ -22,7 +22,11 @@
 //!    copy a write has made stale (MOSI);
 //! 4. **data-availability** — the latest written value survives every
 //!    event sequence (no writeback is ever skipped);
-//! 5. **coverage** — every `(state, event)` pair is handled exactly once
+//! 5. **silent-read-hit** — a local read at a cache holding a valid copy
+//!    is a `Hit` that leaves every cache's state unchanged (a peer may
+//!    report itself as supplier), which is what lets the simulators
+//!    answer read hits without stepping the table;
+//! 6. **coverage** — every `(state, event)` pair is handled exactly once
 //!    or declared impossible (totality), declared-impossible pairs are
 //!    unreachable, no reachable configuration is stuck, and every table
 //!    row and state is exercised (no dead transitions, no unreachable

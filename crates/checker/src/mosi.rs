@@ -9,7 +9,8 @@
 //! copyout writes refresh memory while invalidating every on-chip copy.
 
 use crate::bfs::{
-    apply_io_vec, apply_vec, spec_rows, spec_state_names, totality_gaps, Model, Step,
+    apply_io_vec, apply_vec, silent_read_hit_violations, spec_rows, spec_state_names,
+    totality_gaps, Model, Step,
 };
 use tempstream_coherence::protocol::{Action, Event, MosiState, ProtocolSpec, ProtocolState, MOSI};
 
@@ -242,6 +243,10 @@ impl Model for MosiModel {
         }
         if let Err(e) = apply_io_vec(self.spec, &cfg.caches) {
             v.push(("impossible-reached".into(), e));
+        }
+        // The simulators skip the table on a read hit.
+        for detail in silent_read_hit_violations(self.spec, &cfg.caches) {
+            v.push(("silent-read-hit".into(), detail));
         }
         v
     }

@@ -90,6 +90,18 @@ fn coverage_is_total_with_no_dead_rows_or_states() {
 }
 
 #[test]
+fn read_hits_are_silent_exhaustively() {
+    for r in reports() {
+        assert!(
+            r.violations
+                .iter()
+                .all(|v| v.invariant != "silent-read-hit"),
+            "{r}"
+        );
+    }
+}
+
+#[test]
 fn state_spaces_have_the_expected_scale() {
     // Sanity-check the models are cross products, not single chains: the
     // 4-core MOSI space must dwarf the 2-core one.
@@ -188,6 +200,39 @@ fn stale_l2_copy_breaks_level_consistency() {
     });
     let report = explore(&MosiModel::with_spec(spec, 2));
     find_violation(&report, "level-consistency");
+}
+
+#[test]
+fn read_hit_that_invalidates_a_sharer_is_not_silent() {
+    // Bug: a peer's read snoop drops a Shared copy, so a read hit at
+    // one sharer changes another's state — the simulators, which skip
+    // the table on hits, would keep a copy the table has dropped.
+    let spec = patched_msi("MSI-snoop-drops-sharer", |ts| {
+        for t in ts {
+            if t.from == MsiState::S && t.event == Event::RemoteRead {
+                t.to = MsiState::I;
+            }
+        }
+    });
+    let report = explore(&MsiModel::with_spec(spec, 2));
+    let v = find_violation(&report, "silent-read-hit");
+    // Write(0) then Read(1) makes two sharers; the next read hit is one.
+    assert!(v.witness.len() <= 2, "witness not minimal: {v}");
+}
+
+#[test]
+fn read_hit_that_demotes_the_owner_is_not_silent() {
+    // Bug: a peer's read snoop demotes an Owned line to Shared, so a
+    // read hit at a sharer moves ownership.
+    let spec = patched_mosi("MOSI-snoop-demotes-owner", |ts| {
+        for t in ts {
+            if t.from == MosiState::O && t.event == Event::RemoteRead {
+                t.to = MosiState::S;
+            }
+        }
+    });
+    let report = explore(&MosiModel::with_spec(spec, 2));
+    find_violation(&report, "silent-read-hit");
 }
 
 #[test]

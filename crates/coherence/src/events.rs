@@ -37,6 +37,29 @@ impl CoherenceEvents {
     }
 }
 
+/// How the simulator answered its reads: the hits that returned after
+/// the cache lookup alone, and the reads that consulted the block's
+/// record (every miss).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReadPaths {
+    /// Reads answered by a cache hit without probing the block record.
+    pub(crate) silent_hits: u64,
+    /// Reads that probed the block record.
+    pub(crate) probed: u64,
+}
+
+impl ReadPaths {
+    /// Adds the counts to `registry` under `{prefix}/reads/...`.
+    pub(crate) fn export(&self, registry: &Registry, prefix: &str) {
+        registry
+            .counter(&format!("{prefix}/reads/silent_hits"))
+            .add(self.silent_hits);
+        registry
+            .counter(&format!("{prefix}/reads/probed"))
+            .add(self.probed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,9 +33,10 @@ enum Writer {
 /// need about the block, for up to 64 agents.
 ///
 /// The simulators keep one of these per block inside their own per-block
-/// record, so an access probes one map; [`HistoryTracker`] is the same
-/// history keyed by block.
-#[derive(Debug, Clone, Copy, Default)]
+/// record, so an access probes one table; [`HistoryTracker`] is the same
+/// history keyed by block. A coarser granularity that merges every agent
+/// into one is a pure function of a finer one: see [`fold`](Self::fold).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockHistory {
     last_writer: Option<Writer>,
     /// Bit `a` set: agent `a` has read the block since the last write.
@@ -67,6 +68,30 @@ impl BlockHistory {
             }
         }
         MissClass::Replacement
+    }
+
+    /// Whether `agent`'s read mark is set: it has read the block, or
+    /// written it itself, since the last write by anyone else.
+    pub fn read_since_write(&self, agent: u32) -> bool {
+        debug_assert!(agent < 64);
+        self.read_since_write & (1 << agent) != 0
+    }
+
+    /// The same history with every agent merged into agent 0: what a
+    /// tracker with one agent (e.g. a whole chip) would have recorded
+    /// from the same accesses. The merged agent has read since the last
+    /// write exactly when any agent has (a write leaves the writer's mark
+    /// set, a device write clears every mark), and a processor writer
+    /// becomes agent 0.
+    pub fn fold(&self) -> BlockHistory {
+        BlockHistory {
+            last_writer: match self.last_writer {
+                Some(Writer::Agent(_)) => Some(Writer::Agent(0)),
+                w => w,
+            },
+            read_since_write: u64::from(self.read_since_write != 0),
+            cpu_accessed: self.cpu_accessed,
+        }
     }
 
     /// Records a read by `agent`.
@@ -181,8 +206,8 @@ mod tests {
 
     #[test]
     fn block_history_is_16_bytes() {
-        // Every simulated block keeps one (two on the single chip) for
-        // the whole run, so its size is the history's memory footprint.
+        // Every simulated block keeps one for the whole run, so its size
+        // is the history's memory footprint.
         assert_eq!(std::mem::size_of::<BlockHistory>(), 16);
     }
 

@@ -16,8 +16,7 @@
 //! Both protocols are *declarative*: [`protocol::MSI`] and
 //! [`protocol::MOSI`] express states, events, and guarded transitions as
 //! static tables, and the simulators advance coherence state only through
-//! the table-driven [`protocol::ProtocolTable`] (directly, or keyed by
-//! block through [`protocol::ProtocolEngine`]). The `tempstream-checker`
+//! the table-driven [`protocol::ProtocolTable`]. The `tempstream-checker`
 //! crate model-checks the same tables exhaustively (SWMR, single owner,
 //! inclusion/non-inclusion consistency, no stuck states, total coverage),
 //! and `debug_assert!` hooks in the simulators cross-check cache residency
@@ -27,6 +26,7 @@
 //! a cache-independent per-block [`history::BlockHistory`]; see
 //! [`MissClass`](tempstream_trace::MissClass) for the rules.
 
+mod block_table;
 pub mod events;
 pub mod history;
 pub mod multi_chip;
@@ -37,8 +37,8 @@ pub use events::CoherenceEvents;
 pub use history::{BlockHistory, HistoryTracker};
 pub use multi_chip::{MultiChipConfig, MultiChipSim};
 pub use protocol::{
-    Action, AgentSet, ApplyOutcome, BlockStates, Event, MosiState, MsiState, ProtocolEngine,
-    ProtocolSpec, ProtocolState, ProtocolTable, Transition, MOSI, MSI,
+    Action, AgentSet, ApplyOutcome, BlockStates, Event, MosiState, MsiState, ProtocolSpec,
+    ProtocolState, ProtocolTable, Transition, MOSI, MSI,
 };
 pub use single_chip::{SingleChipConfig, SingleChipSim};
 

@@ -13,14 +13,18 @@
 //! the simulator `debug_assert!`s at every step. The same table is
 //! model-checked exhaustively by `tempstream-checker`.
 //!
-//! A block's history and its per-node MSI states live in one hashed
-//! `BlockRecord`, so an access probes one map, not two.
+//! A block's history and its per-node MSI states live in one 32-byte
+//! `BlockRecord` in a [`BlockTable`]. A read that hits the node's L1 or
+//! L2 returns without touching it: a local read at a valid node changes
+//! no node's state, and a valid copy implies the reader's history mark
+//! is already set, so there is nothing to record. Only misses, writes
+//! and device writes probe the record.
 
-use crate::events::CoherenceEvents;
+use crate::block_table::BlockTable;
+use crate::events::{CoherenceEvents, ReadPaths};
 use crate::history::BlockHistory;
 use crate::protocol::{Action, BlockStates, Event, MsiState, ProtocolState, ProtocolTable, MSI};
 use tempstream_cache::{CacheConfig, SetAssocCache};
-use tempstream_fxhash::FxHashMap;
 use tempstream_obsv::Registry;
 use tempstream_trace::{AccessKind, Block, MemoryAccess, MissClass, MissRecord, MissTrace};
 
@@ -62,23 +66,12 @@ struct Node {
 
 /// Everything the simulator knows about one block. Kept for every block
 /// ever accessed (the history must outlive residency); `states` is
-/// vacant while no node holds the block.
+/// blank while no node holds the block, and a never-accessed block's
+/// record is all blank.
+#[derive(Debug, Clone, Copy, Default)]
 struct BlockRecord {
     history: BlockHistory,
     states: BlockStates<MsiState>,
-}
-
-/// The record of `block` in `blocks`, created on first access. A free
-/// function so the caller can keep using the simulator's other fields.
-fn record<'a>(
-    blocks: &'a mut FxHashMap<Block, BlockRecord>,
-    protocol: &ProtocolTable<MsiState>,
-    block: Block,
-) -> &'a mut BlockRecord {
-    blocks.entry(block).or_insert_with(|| BlockRecord {
-        history: BlockHistory::default(),
-        states: protocol.vacant(),
-    })
 }
 
 /// Trace-driven simulator of the multi-chip system.
@@ -107,10 +100,11 @@ pub struct MultiChipSim {
     /// per-node states. It tracks sharers exactly: it observes every
     /// fill, write, eviction, and I/O invalidate as an event.
     protocol: ProtocolTable<MsiState>,
-    blocks: FxHashMap<Block, BlockRecord>,
+    blocks: BlockTable<BlockRecord>,
     trace: MissTrace<MissClass>,
     recording: bool,
     events: CoherenceEvents,
+    reads: ReadPaths,
 }
 
 impl MultiChipSim {
@@ -132,10 +126,11 @@ impl MultiChipSim {
                 })
                 .collect(),
             protocol: ProtocolTable::new(&MSI, config.nodes),
-            blocks: FxHashMap::default(),
+            blocks: BlockTable::default(),
             trace: MissTrace::new(config.nodes),
             recording: true,
             events: CoherenceEvents::default(),
+            reads: ReadPaths::default(),
             config,
         }
     }
@@ -162,9 +157,10 @@ impl MultiChipSim {
         self.events
     }
 
-    /// Exports miss-class counters, protocol-event counters, and cache
-    /// occupancy gauges into `registry` under `prefix` (e.g.
-    /// `sim/apache/multi_chip`). Call before [`finish`](Self::finish).
+    /// Exports miss-class counters, protocol-event counters, read-path
+    /// counters, and cache-occupancy and block-table gauges into
+    /// `registry` under `prefix` (e.g. `sim/apache/multi_chip`). Call
+    /// before [`finish`](Self::finish).
     pub fn export_obsv(&self, registry: &Registry, prefix: &str) {
         let mut counts = [0u64; 4];
         for r in self.trace.records() {
@@ -183,6 +179,10 @@ impl MultiChipSim {
             .counter(&format!("{prefix}/misses"))
             .add(self.trace.len() as u64);
         self.events.export(registry, prefix);
+        self.reads.export(registry, prefix);
+        registry
+            .gauge(&format!("{prefix}/block_table/bytes"))
+            .set(self.blocks.bytes());
         let l1: u64 = self.nodes.iter().map(|n| n.l1.len() as u64).sum();
         let l2: u64 = self.nodes.iter().map(|n| n.l2.len() as u64).sum();
         registry
@@ -227,29 +227,38 @@ impl MultiChipSim {
         let n = a.cpu.index();
         let node = a.cpu.raw();
         debug_assert!(n < self.nodes.len(), "cpu {n} out of range");
-        let rec = record(&mut self.blocks, &self.protocol, block);
         // Differential hook: the inclusive hierarchy makes "valid MSI
         // state" and "present in L2" the same predicate.
         debug_assert_eq!(
-            rec.states.state(node).is_valid(),
+            self.blocks.get(block).states.state(node).is_valid(),
             self.nodes[n].l2.contains(block),
             "node MSI state out of sync with L2 residency"
         );
-        if self.nodes[n].l1.touch(block).is_some() {
-            let out = self.protocol.step(&mut rec.states, node, Event::LocalRead);
-            debug_assert_eq!(out.local.action, Action::Hit, "L1 hit in invalid state");
-            rec.history.record_read(node);
+        let l1_hit = self.nodes[n].l1.touch(block).is_some();
+        if l1_hit || self.nodes[n].l2.touch(block).is_some() {
+            if !l1_hit {
+                // L2 hit: fill the L1. Not an off-chip miss. The L1
+                // victim (if any) remains in the inclusive L2 — no
+                // protocol event.
+                self.nodes[n].l1.insert(block, ());
+            }
+            // Silent hit: neither the states nor the history change.
+            if cfg!(debug_assertions) {
+                let rec = self.blocks.get(block);
+                debug_assert!(
+                    self.protocol.read_hit_is_silent(rec.states, node),
+                    "read hit at node {node} is not a silent table Hit"
+                );
+                debug_assert!(
+                    rec.history.read_since_write(node),
+                    "read hit at node {node} without its history mark"
+                );
+            }
+            self.reads.silent_hits += 1;
             return;
         }
-        if self.nodes[n].l2.touch(block).is_some() {
-            // L2 hit: fill the L1. Not an off-chip miss. The L1 victim
-            // (if any) remains in the inclusive L2 — no protocol event.
-            let out = self.protocol.step(&mut rec.states, node, Event::LocalRead);
-            debug_assert_eq!(out.local.action, Action::Hit, "L2 hit in invalid state");
-            self.nodes[n].l1.insert(block, ());
-            rec.history.record_read(node);
-            return;
-        }
+        self.reads.probed += 1;
+        let rec = self.blocks.get_mut(block);
         // Off-chip miss: classify from history, then fill both levels.
         if self.recording {
             self.trace.push(MissRecord {
@@ -283,10 +292,7 @@ impl MultiChipSim {
     fn fill_node(&mut self, n: usize, block: Block) {
         if let Some((victim, ())) = self.nodes[n].l2.insert(block, ()) {
             self.nodes[n].l1.invalidate(victim);
-            let rec = self
-                .blocks
-                .get_mut(&victim)
-                .expect("an L2-resident block has a record");
+            let rec = self.blocks.get_mut(victim);
             let out = self.protocol.step(&mut rec.states, n as u32, Event::Evict);
             debug_assert!(
                 matches!(out.local.action, Action::None | Action::WritebackVictim),
@@ -302,7 +308,7 @@ impl MultiChipSim {
 
     fn write(&mut self, node_id: u32, block: Block) {
         // Table step: writer -> M; every valid remote copy is invalidated.
-        let rec = record(&mut self.blocks, &self.protocol, block);
+        let rec = self.blocks.get_mut(block);
         let out = self
             .protocol
             .step(&mut rec.states, node_id, Event::LocalWrite);
@@ -348,7 +354,7 @@ impl MultiChipSim {
     /// returns the block's history for the caller to record the write.
     fn invalidate_all(&mut self, block: Block) -> &mut BlockHistory {
         self.events.io_invalidates += 1;
-        let rec = record(&mut self.blocks, &self.protocol, block);
+        let rec = self.blocks.get_mut(block);
         for r in self.protocol.step_io_invalidate(&mut rec.states) {
             self.nodes[r as usize].l1.invalidate(block);
             self.nodes[r as usize].l2.invalidate(block);
@@ -390,6 +396,30 @@ mod tests {
             tempstream_trace::ThreadId::new(0),
             FunctionId::new(0),
         )
+    }
+
+    #[test]
+    fn block_record_fits_32_bytes() {
+        // One per block ever accessed, eight to a chunk: a record of at
+        // most 32 bytes keeps a block's state within one cache line.
+        assert!(std::mem::size_of::<BlockRecord>() <= 32);
+    }
+
+    #[test]
+    fn hits_are_silent_and_misses_probe() {
+        let mut sim = MultiChipSim::new(MultiChipConfig::small(2));
+        sim.access(&read(0, 0x1000)); // miss
+        sim.access(&read(0, 0x1000)); // L1 hit
+        sim.access(&write(0, 0x1000)); // writes are not reads
+        sim.access(&read(0, 0x1000)); // L1 hit in M
+        sim.access(&read(1, 0x1000)); // remote miss
+        assert_eq!(
+            sim.reads,
+            ReadPaths {
+                silent_hits: 2,
+                probed: 2
+            }
+        );
     }
 
     #[test]

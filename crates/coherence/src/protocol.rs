@@ -5,8 +5,7 @@
 //! paper §3) protocols are expressed as *data*: per-block cache states,
 //! events, and guarded transitions in [`ProtocolSpec`] tables ([`MSI`],
 //! [`MOSI`]). The simulators do not hard-code any state logic — they feed
-//! events into a [`ProtocolTable`] (directly, or keyed by block through a
-//! [`ProtocolEngine`]) that looks every step up in the table,
+//! events into a [`ProtocolTable`] that looks every step up in the table,
 //! and they act on the returned [`Action`]s (who to invalidate, who
 //! supplies data, whether a victim writes back). The `tempstream-checker`
 //! crate model-checks the same tables exhaustively, so the traces the
@@ -30,8 +29,7 @@
 
 use std::fmt;
 use std::hash::Hash;
-use tempstream_fxhash::FxHashMap;
-use tempstream_trace::Block;
+use std::marker::PhantomData;
 
 /// Coherence events, from the perspective of one cache and one block.
 ///
@@ -163,6 +161,13 @@ pub trait ProtocolState: Copy + Eq + Hash + fmt::Debug + 'static {
     fn is_writable(self) -> bool;
     /// Dense index of the state within `ProtocolSpec::states`.
     fn index(self) -> usize;
+    /// The state at dense index `index`; the inverse of
+    /// [`index`](Self::index).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` names no state.
+    fn from_index(index: usize) -> Self;
 }
 
 /// MSI per-node states of the multi-chip protocol.
@@ -188,6 +193,9 @@ impl ProtocolState for MsiState {
     }
     fn index(self) -> usize {
         self as usize
+    }
+    fn from_index(index: usize) -> Self {
+        [MsiState::I, MsiState::S, MsiState::M][index]
     }
 }
 
@@ -216,6 +224,9 @@ impl ProtocolState for MosiState {
     }
     fn index(self) -> usize {
         self as usize
+    }
+    fn from_index(index: usize) -> Self {
+        [MosiState::I, MosiState::S, MosiState::O, MosiState::M][index]
     }
 }
 
@@ -380,36 +391,58 @@ pub struct ApplyOutcome<S: 'static> {
     pub supplier: Option<u32>,
 }
 
-/// One block's per-agent protocol states, stored inline: no allocation
-/// per block. Agent `i`'s state is `states[i]`, and bit `i` of `valid`
-/// is set exactly when that state is valid, so every agent outside the
-/// mask holds the spec's `initial` state.
-#[derive(Debug, Clone, Copy)]
+/// One block's per-agent protocol states, packed into 16 bytes: no
+/// allocation per block. Agent `i`'s state index
+/// ([`ProtocolState::index`]) is bits `2i..2i + 2` of `states`, and bit
+/// `i` of `valid` is set exactly when that state is valid. Index 0 is
+/// the spec's `initial` state ([`ProtocolTable::new`] checks this), so
+/// the all-zero [`Default`] value is a block no agent has loaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockStates<S> {
-    states: [S; 32],
+    states: u64,
     valid: u32,
+    _state: PhantomData<S>,
+}
+
+impl<S> Default for BlockStates<S> {
+    fn default() -> Self {
+        BlockStates {
+            states: 0,
+            valid: 0,
+            _state: PhantomData,
+        }
+    }
 }
 
 impl<S: ProtocolState> BlockStates<S> {
+    /// The dense state index `agent` holds the block in.
+    fn index(&self, agent: u32) -> usize {
+        (self.states >> (2 * agent) & 3) as usize
+    }
+
     /// The state `agent` holds the block in.
     pub fn state(&self, agent: u32) -> S {
-        self.states[agent as usize]
+        S::from_index(self.index(agent))
+    }
+
+    /// The agents holding a valid copy.
+    pub fn valid(&self) -> AgentSet {
+        AgentSet(self.valid)
     }
 
     /// The agent owning the block (M or O state), if any.
-    fn owner(&self) -> Option<u32> {
-        AgentSet(self.valid)
-            .iter()
-            .find(|&i| self.states[i as usize].is_owner())
+    pub fn owner(&self) -> Option<u32> {
+        self.valid().iter().find(|&i| self.state(i).is_owner())
     }
 
     /// Whether any agent other than `agent` holds a valid copy.
-    fn other_valid(&self, agent: u32) -> bool {
+    pub fn other_valid(&self, agent: u32) -> bool {
         self.valid & !(1 << agent) != 0
     }
 
     fn set(&mut self, agent: u32, state: S) {
-        self.states[agent as usize] = state;
+        let shift = 2 * agent;
+        self.states = self.states & !(3 << shift) | (state.index() as u64) << shift;
         if state.is_valid() {
             self.valid |= 1 << agent;
         } else {
@@ -447,14 +480,30 @@ impl<S: ProtocolState> ProtocolTable<S> {
     ///
     /// Panics if `agents` is zero or greater than 32, if the spec has a
     /// table hole (a `(state, event)` pair neither handled nor declared
-    /// impossible), if a state's [`ProtocolState::index`] is not its
-    /// position in `spec.states`, or if `initial` is not the spec's only
-    /// invalid state (the valid mask stands for every other agent).
+    /// impossible), if it has more than four states (a [`BlockStates`]
+    /// packs two bits per agent), if a state's [`ProtocolState::index`]
+    /// is not its position in `spec.states` or
+    /// [`ProtocolState::from_index`] does not invert it, if `initial` is
+    /// not listed first (index 0 is the blank state), or if `initial` is
+    /// not the spec's only invalid state (the valid mask stands for every
+    /// other agent).
     pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
         assert!((1..=32).contains(&agents), "agent count must be in 1..=32");
+        assert!(
+            spec.states.len() <= 4,
+            "{}: a block packs two bits per agent, so at most four states",
+            spec.name
+        );
+        assert_eq!(
+            spec.initial.index(),
+            0,
+            "{}: the initial state must be listed first",
+            spec.name
+        );
         let mut table = Vec::with_capacity(spec.states.len() * Event::ALL.len());
         for (i, &s) in spec.states.iter().enumerate() {
             assert_eq!(s.index(), i, "{}: {s:?} index out of order", spec.name);
+            assert_eq!(S::from_index(i), s, "{}: from_index({i})", spec.name);
             assert_eq!(
                 s.is_valid(),
                 s != spec.initial,
@@ -477,19 +526,12 @@ impl<S: ProtocolState> ProtocolTable<S> {
         }
     }
 
-    /// A block no agent has loaded: every agent in `initial`.
-    pub fn vacant(&self) -> BlockStates<S> {
-        BlockStates {
-            states: [self.spec.initial; 32],
-            valid: 0,
-        }
-    }
-
-    /// The transition for `(state, event)`, or `None` if the pair is
-    /// declared impossible. `Event::ALL` lists the events in declaration
-    /// order, so `event as usize` is its position.
-    fn lookup(&self, state: S, event: Event) -> Option<&'static Transition<S>> {
-        self.table[state.index() * Event::ALL.len() + event as usize]
+    /// The transition for the state at dense index `state` under
+    /// `event`, or `None` if the pair is declared impossible.
+    /// `Event::ALL` lists the events in declaration order, so
+    /// `event as usize` is its position.
+    fn lookup(&self, state: usize, event: Event) -> Option<&'static Transition<S>> {
+        self.table[state * Event::ALL.len() + event as usize]
     }
 
     /// The agents an induced `event` must visit besides the valid ones:
@@ -520,11 +562,11 @@ impl<S: ProtocolState> ProtocolTable<S> {
                 panic!("remote events are induced, not applied directly")
             }
         };
-        let from = b.states[agent as usize];
-        let local = self.lookup(from, event).unwrap_or_else(|| {
+        let local = self.lookup(b.index(agent), event).unwrap_or_else(|| {
             panic!(
-                "{}: ({from:?}, {event:?}) at agent {agent} is declared impossible",
-                self.spec.name
+                "{}: ({:?}, {event:?}) at agent {agent} is declared impossible",
+                self.spec.name,
+                b.state(agent)
             )
         });
         b.set(agent, local.to);
@@ -532,15 +574,14 @@ impl<S: ProtocolState> ProtocolTable<S> {
         let mut supplier = None;
         if let Some(remote) = remote {
             for i in AgentSet((b.valid | self.idle_agents(remote)) & !(1 << agent)) {
-                let s = b.states[i as usize];
                 let t = self
-                    .lookup(s, remote)
+                    .lookup(b.index(i), remote)
                     .expect("remote events must be total over all states");
                 if t.action == Action::SupplyToPeer {
                     debug_assert!(supplier.is_none(), "two suppliers for one block");
                     supplier = Some(i);
                 }
-                if s.is_valid() && !t.to.is_valid() {
+                if t.from.is_valid() && !t.to.is_valid() {
                     invalidated.0 |= 1 << i;
                 }
                 b.set(i, t.to);
@@ -553,16 +594,25 @@ impl<S: ProtocolState> ProtocolTable<S> {
         }
     }
 
+    /// Whether an [`Event::LocalRead`] at `agent` is a silent hit on
+    /// `b`: the local transition is a `Hit` and no agent's state changes.
+    /// A peer may still report itself as supplier (an Owned line under
+    /// MOSI); a hit ignores that. Steps a copy, so `b` is untouched.
+    pub fn read_hit_is_silent(&self, b: BlockStates<S>, agent: u32) -> bool {
+        let mut after = b;
+        let out = self.step(&mut after, agent, Event::LocalRead);
+        out.local.action == Action::Hit && after == b
+    }
+
     /// Applies an [`Event::IoInvalidate`] to every agent of block `b`,
     /// returning the agents that held valid copies.
     pub fn step_io_invalidate(&self, b: &mut BlockStates<S>) -> AgentSet {
         let mut dropped = AgentSet::EMPTY;
         for i in AgentSet(b.valid | self.idle_agents(Event::IoInvalidate)) {
-            let s = b.states[i as usize];
             let t = self
-                .lookup(s, Event::IoInvalidate)
+                .lookup(b.index(i), Event::IoInvalidate)
                 .expect("IoInvalidate must be total over all states");
-            if s.is_valid() && !t.to.is_valid() {
+            if t.from.is_valid() && !t.to.is_valid() {
                 dropped.0 |= 1 << i;
             }
             b.set(i, t.to);
@@ -571,100 +621,9 @@ impl<S: ProtocolState> ProtocolTable<S> {
     }
 }
 
-/// Table-driven tracker of one protocol's per-block, per-cache states:
-/// a [`ProtocolTable`] plus a map from block to [`BlockStates`].
-///
-/// The table is the *only* component that advances coherence state in
-/// the simulators; every step is a table lookup, so the imperative
-/// simulators cannot diverge from the checked tables. A simulator that
-/// already keeps a per-block record embeds [`BlockStates`] in it and
-/// steps it with the [`ProtocolTable`] directly.
-#[derive(Debug)]
-pub struct ProtocolEngine<S: ProtocolState> {
-    table: ProtocolTable<S>,
-    /// Per-block agent states; absent entry = all agents in `initial`.
-    /// Entries whose agents are all invalid are dropped to keep the map
-    /// bounded by live sharing, not footprint.
-    states: FxHashMap<Block, BlockStates<S>>,
-}
-
-impl<S: ProtocolState> ProtocolEngine<S> {
-    /// Creates an engine for `agents` caches, all blocks Invalid.
-    ///
-    /// # Panics
-    ///
-    /// As [`ProtocolTable::new`]: a bad agent count or a malformed spec
-    /// (a table hole included) fails here, not on first use.
-    pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
-        ProtocolEngine {
-            table: ProtocolTable::new(spec, agents),
-            states: FxHashMap::default(),
-        }
-    }
-
-    /// The state `agent` holds `block` in.
-    pub fn state(&self, agent: u32, block: Block) -> S {
-        debug_assert!(agent < self.table.agents);
-        self.states
-            .get(&block)
-            .map_or(self.table.spec.initial, |b| b.state(agent))
-    }
-
-    /// The agent owning the block (M or O state), if any.
-    pub fn owner(&self, block: Block) -> Option<u32> {
-        self.states.get(&block)?.owner()
-    }
-
-    /// Whether any agent other than `agent` holds a valid copy.
-    pub fn other_valid(&self, agent: u32, block: Block) -> bool {
-        self.states
-            .get(&block)
-            .is_some_and(|b| b.other_valid(agent))
-    }
-
-    /// Number of distinct blocks with at least one valid copy.
-    pub fn live_blocks(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Applies `event` at `agent` and the induced remote event at every
-    /// other agent; see [`ProtocolTable::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table declares any implied `(state, event)` pair
-    /// impossible.
-    pub fn apply(&mut self, agent: u32, block: Block, event: Event) -> ApplyOutcome<S> {
-        let b = self
-            .states
-            .entry(block)
-            .or_insert_with(|| self.table.vacant());
-        let out = self.table.step(b, agent, event);
-        if b.valid == 0 {
-            self.states.remove(&block);
-        }
-        out
-    }
-
-    /// Applies an [`Event::IoInvalidate`] to every agent, returning the
-    /// agents that held valid copies.
-    pub fn apply_io_invalidate(&mut self, block: Block) -> AgentSet {
-        let Some(b) = self.states.get_mut(&block) else {
-            return AgentSet::EMPTY;
-        };
-        let dropped = self.table.step_io_invalidate(b);
-        if b.valid == 0 {
-            self.states.remove(&block);
-        }
-        dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const B: Block = Block::new(7);
 
     #[test]
     fn tables_are_total() {
@@ -706,64 +665,104 @@ mod tests {
     }
 
     #[test]
+    fn blank_states_are_initial_and_pack_into_16_bytes() {
+        assert_eq!(std::mem::size_of::<BlockStates<MsiState>>(), 16);
+        assert_eq!(std::mem::size_of::<BlockStates<MosiState>>(), 16);
+        let b = BlockStates::<MosiState>::default();
+        assert!((0..32).all(|a| b.state(a) == MOSI.initial));
+        assert!(b.valid().is_empty() && b.owner().is_none());
+    }
+
+    #[test]
+    fn states_round_trip_through_their_index() {
+        for &s in MSI.states {
+            assert_eq!(MsiState::from_index(s.index()), s);
+        }
+        for &s in MOSI.states {
+            assert_eq!(MosiState::from_index(s.index()), s);
+        }
+    }
+
+    #[test]
     fn msi_write_invalidates_sharers() {
-        let mut e = ProtocolEngine::new(&MSI, 4);
-        e.apply(0, B, Event::LocalRead);
-        e.apply(1, B, Event::LocalRead);
-        let out = e.apply(2, B, Event::LocalWrite);
+        let t = ProtocolTable::new(&MSI, 4);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 0, Event::LocalRead);
+        t.step(&mut b, 1, Event::LocalRead);
+        let out = t.step(&mut b, 2, Event::LocalWrite);
         assert_eq!(out.invalidated.iter().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(e.state(2, B), MsiState::M);
-        assert_eq!(e.owner(B), Some(2));
+        assert_eq!(b.state(2), MsiState::M);
+        assert_eq!(b.owner(), Some(2));
     }
 
     #[test]
     fn mosi_peer_read_downgrades_owner() {
-        let mut e = ProtocolEngine::new(&MOSI, 4);
-        e.apply(0, B, Event::LocalWrite);
-        assert_eq!(e.state(0, B), MosiState::M);
-        let out = e.apply(1, B, Event::LocalRead);
+        let t = ProtocolTable::new(&MOSI, 4);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 0, Event::LocalWrite);
+        assert_eq!(b.state(0), MosiState::M);
+        let out = t.step(&mut b, 1, Event::LocalRead);
         assert_eq!(out.supplier, Some(0));
-        assert_eq!(e.state(0, B), MosiState::O);
-        assert_eq!(e.state(1, B), MosiState::S);
-        assert_eq!(e.owner(B), Some(0));
+        assert_eq!(b.state(0), MosiState::O);
+        assert_eq!(b.state(1), MosiState::S);
+        assert_eq!(b.owner(), Some(0));
+    }
+
+    #[test]
+    fn top_agent_packs_into_the_high_bits() {
+        // Agent 31 uses bits 62..64: a write there must neither spill
+        // into agent 30 nor lose its own state.
+        let t = ProtocolTable::new(&MOSI, 32);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 30, Event::LocalRead);
+        t.step(&mut b, 31, Event::LocalRead);
+        assert_eq!(b.valid().iter().collect::<Vec<_>>(), vec![30, 31]);
+        let out = t.step(&mut b, 31, Event::LocalWrite);
+        assert_eq!(out.invalidated.iter().collect::<Vec<_>>(), vec![30]);
+        assert_eq!(b.state(31), MosiState::M);
+        assert_eq!(b.state(30), MosiState::I);
+        assert!(!b.other_valid(31) && b.other_valid(0));
     }
 
     #[test]
     fn owner_eviction_clears_ownership() {
-        let mut e = ProtocolEngine::new(&MOSI, 2);
-        e.apply(0, B, Event::LocalWrite);
-        let out = e.apply(0, B, Event::Evict);
+        let t = ProtocolTable::new(&MOSI, 2);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 0, Event::LocalWrite);
+        let out = t.step(&mut b, 0, Event::Evict);
         assert_eq!(out.local.action, Action::WritebackVictim);
-        assert_eq!(e.owner(B), None);
-        assert_eq!(e.state(0, B), MosiState::I);
+        assert_eq!(b.owner(), None);
+        assert_eq!(b.state(0), MosiState::I);
     }
 
     #[test]
     fn all_invalid_entries_are_dropped() {
-        let mut e = ProtocolEngine::new(&MOSI, 2);
-        e.apply(0, B, Event::LocalRead);
-        assert_eq!(e.live_blocks(), 1);
-        e.apply(0, B, Event::Evict);
-        assert_eq!(e.live_blocks(), 0, "all-invalid block must be dropped");
-        assert_eq!(e.apply_io_invalidate(B), AgentSet::EMPTY);
+        let t = ProtocolTable::new(&MOSI, 2);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 0, Event::LocalRead);
+        assert!(!b.valid().is_empty());
+        t.step(&mut b, 0, Event::Evict);
+        assert_eq!(b, BlockStates::default(), "all-invalid block is blank");
+        assert_eq!(t.step_io_invalidate(&mut b), AgentSet::EMPTY);
     }
 
     #[test]
     fn io_invalidate_drops_every_copy() {
-        let mut e = ProtocolEngine::new(&MSI, 3);
-        e.apply(0, B, Event::LocalRead);
-        e.apply(1, B, Event::LocalRead);
+        let t = ProtocolTable::new(&MSI, 3);
+        let mut b = BlockStates::default();
+        t.step(&mut b, 0, Event::LocalRead);
+        t.step(&mut b, 1, Event::LocalRead);
         assert_eq!(
-            e.apply_io_invalidate(B).iter().collect::<Vec<_>>(),
+            t.step_io_invalidate(&mut b).iter().collect::<Vec<_>>(),
             vec![0, 1]
         );
-        assert_eq!(e.live_blocks(), 0);
+        assert_eq!(b, BlockStates::default());
     }
 
     #[test]
     #[should_panic(expected = "impossible")]
     fn evicting_invalid_line_panics() {
-        let mut e = ProtocolEngine::new(&MSI, 2);
-        e.apply(0, B, Event::Evict);
+        let t = ProtocolTable::new(&MSI, 2);
+        t.step(&mut BlockStates::default(), 0, Event::Evict);
     }
 }

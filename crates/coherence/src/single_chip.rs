@@ -6,11 +6,17 @@
 //! is non-inclusive (L1 victims are installed into the L2).
 //!
 //! All coherence-state transitions are driven by the declarative
-//! [`MOSI`] table through a [`ProtocolEngine`]: the simulator feeds
+//! [`MOSI`] table through a [`ProtocolTable`]: the simulator feeds
 //! events, acts on the returned [`Action`]s (who to invalidate, who
 //! supplies, whether a victim writes back), and `debug_assert!`s that the
 //! cache structures agree with the table-tracked states. The same table
 //! is model-checked exhaustively by `tempstream-checker`.
+//!
+//! A block's core-granularity history and its per-core MOSI states live
+//! in one 32-byte record in a [`BlockTable`]. A read that hits the
+//! core's L1 returns without touching it (the table step would change
+//! nothing, and the history already marks the reader); only misses,
+//! writes and device writes probe the record.
 //!
 //! The simulator produces the paper's two traces at once:
 //!
@@ -23,11 +29,11 @@
 //!   L2 appears in the intra-chip trace as `Off-chip` *and* in the off-chip
 //!   trace, mirroring Figure 1 (right)'s "Off-chip" segment.
 
-use crate::events::CoherenceEvents;
+use crate::block_table::BlockTable;
+use crate::events::{CoherenceEvents, ReadPaths};
 use crate::history::BlockHistory;
-use crate::protocol::{Action, Event, MosiState, ProtocolEngine, ProtocolState, MOSI};
+use crate::protocol::{Action, BlockStates, Event, MosiState, ProtocolState, ProtocolTable, MOSI};
 use tempstream_cache::{CacheConfig, SetAssocCache};
-use tempstream_fxhash::FxHashMap;
 use tempstream_obsv::Registry;
 use tempstream_trace::{
     AccessKind, Block, IntraChipClass, MemoryAccess, MissClass, MissRecord, MissTrace,
@@ -73,21 +79,17 @@ pub struct SingleChipTraces {
     pub intra_chip: MissTrace<IntraChipClass>,
 }
 
-/// A block's history at both classification granularities, kept in one
-/// hashed record so an access probes one history map, not two.
-#[derive(Default)]
-struct BlockHistories {
-    /// Chip granularity, agent 0 (off-chip classification).
-    chip: BlockHistory,
-    /// Core granularity (intra-chip cause classification).
-    core: BlockHistory,
-}
-
-impl BlockHistories {
-    fn record_read(&mut self, core: u32) {
-        self.chip.record_read(0);
-        self.core.record_read(core);
-    }
+/// Everything the simulator knows about one block. Kept for every block
+/// ever accessed (the history must outlive residency); a never-accessed
+/// block's record is all blank.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockRecord {
+    /// Core-granularity history (intra-chip cause classification). The
+    /// chip-granularity history that classifies off-chip misses is its
+    /// [`fold`](BlockHistory::fold).
+    history: BlockHistory,
+    /// Per-core L1 MOSI states.
+    states: BlockStates<MosiState>,
 }
 
 /// Trace-driven simulator of the single-chip system.
@@ -111,19 +113,17 @@ pub struct SingleChipSim {
     config: SingleChipConfig,
     l1s: Vec<SetAssocCache<()>>,
     l2: SetAssocCache<()>,
-    /// Per-core MOSI states, advanced exclusively by the declarative
-    /// [`MOSI`] table. Ownership (M/O) queries replace the old ad-hoc
-    /// `owner` map, so stale-owner bugs are structurally impossible: the
-    /// engine observes every eviction and invalidation as an event. It
-    /// tracks L1 copies only, so its map stays small and apart from the
-    /// footprint-sized history map.
-    engine: ProtocolEngine<MosiState>,
-    /// Per-block history, for every block ever accessed.
-    histories: FxHashMap<Block, BlockHistories>,
+    /// The declarative [`MOSI`] table, the only thing that advances the
+    /// per-core states. Ownership (M/O) is read from those states, so
+    /// stale-owner bugs are structurally impossible: the table observes
+    /// every eviction and invalidation as an event.
+    protocol: ProtocolTable<MosiState>,
+    blocks: BlockTable<BlockRecord>,
     off_chip: MissTrace<MissClass>,
     intra_chip: MissTrace<IntraChipClass>,
     recording: bool,
     events: CoherenceEvents,
+    reads: ReadPaths,
 }
 
 impl SingleChipSim {
@@ -142,12 +142,13 @@ impl SingleChipSim {
                 .map(|_| SetAssocCache::new(config.l1))
                 .collect(),
             l2: SetAssocCache::new(config.l2),
-            engine: ProtocolEngine::new(&MOSI, config.cores),
-            histories: FxHashMap::default(),
+            protocol: ProtocolTable::new(&MOSI, config.cores),
+            blocks: BlockTable::default(),
             off_chip: MissTrace::new(config.cores),
             intra_chip: MissTrace::new(config.cores),
             recording: true,
             events: CoherenceEvents::default(),
+            reads: ReadPaths::default(),
             config,
         }
     }
@@ -166,10 +167,10 @@ impl SingleChipSim {
     /// The core whose L1 owns `block` (MOSI M or O state), if any.
     ///
     /// Exposed for invariant-driven tests: the returned core's L1 always
-    /// contains the block (the engine sees every eviction as an event, so
+    /// contains the block (the table sees every eviction as an event, so
     /// ownership can never go stale).
     pub fn owner(&self, block: Block) -> Option<u32> {
-        self.engine.owner(block)
+        self.blocks.get(block).states.owner()
     }
 
     /// Protocol-activity counts accumulated so far.
@@ -177,10 +178,10 @@ impl SingleChipSim {
         self.events
     }
 
-    /// Exports miss-class counters (both traces), protocol-event
-    /// counters, and cache occupancy gauges into `registry` under
-    /// `prefix` (e.g. `sim/apache/single_chip`). Call before
-    /// [`finish`](Self::finish).
+    /// Exports miss-class counters (both traces), protocol-event and
+    /// read-path counters, and cache-occupancy and block-table gauges
+    /// into `registry` under `prefix` (e.g. `sim/apache/single_chip`).
+    /// Call before [`finish`](Self::finish).
     pub fn export_obsv(&self, registry: &Registry, prefix: &str) {
         let mut off = [0u64; 4];
         for r in self.off_chip.records() {
@@ -215,6 +216,10 @@ impl SingleChipSim {
             .counter(&format!("{prefix}/intra_misses"))
             .add(self.intra_chip.len() as u64);
         self.events.export(registry, prefix);
+        self.reads.export(registry, prefix);
+        registry
+            .gauge(&format!("{prefix}/block_table/bytes"))
+            .set(self.blocks.bytes());
         let l1: u64 = self.l1s.iter().map(|c| c.len() as u64).sum();
         registry
             .gauge(&format!("{prefix}/occupancy/l1_blocks"))
@@ -230,18 +235,8 @@ impl SingleChipSim {
         match a.kind {
             AccessKind::Read => self.read(a, block),
             AccessKind::Write => self.write(a.cpu.raw(), block),
-            AccessKind::DmaWrite => {
-                self.invalidate_chip(block);
-                let h = self.histories.entry(block).or_default();
-                h.chip.record_dma_write();
-                h.core.record_dma_write();
-            }
-            AccessKind::CopyoutWrite => {
-                self.invalidate_chip(block);
-                let h = self.histories.entry(block).or_default();
-                h.chip.record_copyout_write();
-                h.core.record_copyout_write();
-            }
+            AccessKind::DmaWrite => self.invalidate_chip(block).record_dma_write(),
+            AccessKind::CopyoutWrite => self.invalidate_chip(block).record_copyout_write(),
         }
     }
 
@@ -265,36 +260,48 @@ impl SingleChipSim {
     fn read(&mut self, a: &MemoryAccess, block: Block) {
         let core = a.cpu.raw();
         debug_assert!((core as usize) < self.l1s.len(), "core {core} out of range");
-        let history = self.histories.entry(block).or_default();
         if self.l1s[core as usize].touch(block).is_some() {
-            // Differential hook: an L1 hit must be a table-level Hit.
-            let out = self.engine.apply(core, block, Event::LocalRead);
-            debug_assert_eq!(out.local.action, Action::Hit, "L1 hit in invalid state");
-            history.record_read(core);
+            // Silent hit. Differential hook: the table step would be a
+            // Hit that changes nothing, and the history already marks
+            // the reader.
+            if cfg!(debug_assertions) {
+                let rec = self.blocks.get(block);
+                debug_assert!(
+                    self.protocol.read_hit_is_silent(rec.states, core),
+                    "L1 hit at core {core} is not a silent table Hit"
+                );
+                debug_assert!(
+                    rec.history.read_since_write(core),
+                    "L1 hit at core {core} without its history mark"
+                );
+            }
+            self.reads.silent_hits += 1;
             return;
         }
+        self.reads.probed += 1;
+        let rec = self.blocks.get_mut(block);
         // Differential hook: L1 residency and table state agree.
         debug_assert!(
-            !self.engine.state(core, block).is_valid(),
+            !rec.states.state(core).is_valid(),
             "L1 miss while the table holds a valid state"
         );
 
         // L1 miss: classify the cause at core granularity, then find the
         // responder from the protocol state.
-        let cause = history.core.classify_read(core);
+        let cause = rec.history.classify_read(core);
         let coherence_cause = cause == MissClass::Coherence;
 
-        let peer_owner = self.engine.owner(block);
+        let peer_owner = rec.states.owner();
         debug_assert!(
             peer_owner.is_none_or(|o| o != core && self.l1s[o as usize].contains(block)),
             "stale owner: table owner's L1 does not hold the block"
         );
         let in_l2 = self.l2.touch(block).is_some();
         debug_assert!(
-            !(in_l2 && peer_owner.is_some_and(|o| self.engine.state(o, block).is_writable())),
+            !(in_l2 && peer_owner.is_some_and(|o| rec.states.state(o).is_writable())),
             "L2 holds a copy of an M-state block"
         );
-        let clean_peer = !in_l2 && peer_owner.is_none() && self.engine.other_valid(core, block);
+        let clean_peer = !in_l2 && peer_owner.is_none() && rec.states.other_valid(core);
 
         let on_chip = peer_owner.is_some() || in_l2 || clean_peer;
         let intra_class = if !on_chip {
@@ -321,7 +328,7 @@ impl SingleChipSim {
         if !on_chip {
             // Off-chip miss, classified at chip granularity.
             if self.recording {
-                let class = history.chip.classify_read(0);
+                let class = rec.history.fold().classify_read(0);
                 debug_assert_ne!(
                     class,
                     MissClass::Coherence,
@@ -338,11 +345,11 @@ impl SingleChipSim {
             // Fill L2 and the requesting L1.
             self.l2.insert(block, ());
         }
-        history.record_read(core);
+        rec.history.record_read(core);
 
         // Table step: requester I -> S; a dirty peer (if any) supplies the
         // data and downgrades M -> O.
-        let out = self.engine.apply(core, block, Event::LocalRead);
+        let out = self.protocol.step(&mut rec.states, core, Event::LocalRead);
         debug_assert_eq!(out.local.action, Action::Fill);
         debug_assert_eq!(
             out.supplier, peer_owner,
@@ -363,7 +370,8 @@ impl SingleChipSim {
             // (M/O) is written back — ownership moves to the L2 (plain
             // data in our model) — and a clean one is a victim-cache
             // install.
-            let out = self.engine.apply(core, victim, Event::Evict);
+            let rec = self.blocks.get_mut(victim);
+            let out = self.protocol.step(&mut rec.states, core, Event::Evict);
             debug_assert!(
                 matches!(
                     out.local.action,
@@ -387,7 +395,9 @@ impl SingleChipSim {
             self.fill_l1(core, block);
         }
         // Table step: writer -> M; every valid peer copy is invalidated.
-        let out = self.engine.apply(core, block, Event::LocalWrite);
+        let rec = self.blocks.get_mut(block);
+        let out = self.protocol.step(&mut rec.states, core, Event::LocalWrite);
+        rec.history.record_write(core);
         self.events.invalidations += out.invalidated.len() as u64;
         for c in out.invalidated {
             self.l1s[c as usize].invalidate(block);
@@ -413,20 +423,21 @@ impl SingleChipSim {
         debug_assert!((0..self.config.cores).all(|c| {
             c == core || out.invalidated.contains(c) || !self.l1s[c as usize].contains(block)
         }));
-        let history = self.histories.entry(block).or_default();
-        history.chip.record_write(0);
-        history.core.record_write(core);
     }
 
-    fn invalidate_chip(&mut self, block: Block) {
+    /// Invalidates every on-chip copy of `block` for a device write and
+    /// returns the block's history for the caller to record the write.
+    fn invalidate_chip(&mut self, block: Block) -> &mut BlockHistory {
         self.events.io_invalidates += 1;
-        for c in self.engine.apply_io_invalidate(block) {
+        let rec = self.blocks.get_mut(block);
+        for c in self.protocol.step_io_invalidate(&mut rec.states) {
             self.l1s[c as usize].invalidate(block);
         }
         self.l2.invalidate(block);
         // Differential hook: after an I/O invalidate no L1 may hold the
         // block.
         debug_assert!((0..self.config.cores).all(|c| !self.l1s[c as usize].contains(block)));
+        &mut rec.history
     }
 }
 
@@ -467,6 +478,31 @@ mod tests {
             ThreadId::new(0),
             FunctionId::new(0),
         )
+    }
+
+    #[test]
+    fn block_record_fits_32_bytes() {
+        // One per block ever accessed, eight to a chunk: a record of at
+        // most 32 bytes keeps a block's state within one cache line.
+        assert!(std::mem::size_of::<BlockRecord>() <= 32);
+    }
+
+    #[test]
+    fn l1_hits_are_silent_and_misses_probe() {
+        let mut sim = SingleChipSim::new(SingleChipConfig::small(2));
+        sim.access(&write(0, 0x40)); // writes are not reads
+        sim.access(&read(0, 0x40)); // L1 hit in M
+        sim.access(&read(1, 0x40)); // peer-supplied miss
+        sim.access(&read(0, 0x40)); // L1 hit in O
+        sim.access(&read(1, 0x40)); // L1 hit in S
+        sim.access(&read(0, 0x80)); // cold miss
+        assert_eq!(
+            sim.reads,
+            ReadPaths {
+                silent_hits: 3,
+                probed: 2
+            }
+        );
     }
 
     #[test]

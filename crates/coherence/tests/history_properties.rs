@@ -9,8 +9,13 @@
 //! 2. **Replay stability** — classifications are a deterministic
 //!    function of the access trace: replaying the same trace through a
 //!    fresh tracker reproduces the classification sequence exactly.
+//!
+//! A third pins the single chip's folded off-chip classification: the
+//! chip-granularity class it derives from a core-granularity history
+//! equals what a one-agent tracker records from the same accesses.
 
-use tempstream_coherence::HistoryTracker;
+use std::collections::HashMap;
+use tempstream_coherence::{BlockHistory, HistoryTracker};
 use tempstream_trace::rng::SmallRng;
 use tempstream_trace::{Block, MissClass};
 
@@ -190,6 +195,46 @@ fn io_write_invalidates_every_reader() {
         assert_eq!(tracker.classify_read(reader, block), MissClass::Replacement);
         for a in (0..agents).filter(|&a| a != reader) {
             assert_eq!(tracker.classify_read(a, block), MissClass::IoCoherence);
+        }
+    }
+}
+
+#[test]
+fn folded_core_history_classifies_like_a_one_agent_tracker() {
+    // The single chip keeps only the per-core history and classifies
+    // off-chip misses with its fold; a chip-wide tracker (one agent, every
+    // core's access recorded as agent 0's) must agree before every read.
+    let mut rng = SmallRng::seed_from_u64(0x4115_7006);
+    for _ in 0..64 {
+        let cores = rng.gen_range(1..=8u32);
+        let ops = gen_ops(&mut rng, 400, cores, 30);
+        let mut chip = HistoryTracker::new(1);
+        let mut per_core: HashMap<u64, BlockHistory> = HashMap::new();
+        for op in &ops {
+            match *op {
+                Op::Read(a, b) => {
+                    let h = per_core.entry(b).or_default();
+                    assert_eq!(
+                        h.fold().classify_read(0),
+                        chip.classify_read(0, Block::new(b)),
+                        "core {a} reading block {b} after {h:?}"
+                    );
+                    h.record_read(a);
+                    chip.record_read(0, Block::new(b));
+                }
+                Op::Write(a, b) => {
+                    per_core.entry(b).or_default().record_write(a);
+                    chip.record_write(0, Block::new(b));
+                }
+                Op::Dma(b) => {
+                    per_core.entry(b).or_default().record_dma_write();
+                    chip.record_dma_write(Block::new(b));
+                }
+                Op::Copyout(b) => {
+                    per_core.entry(b).or_default().record_copyout_write();
+                    chip.record_copyout_write(Block::new(b));
+                }
+            }
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Randomized property tests of the memory-system simulators and their
-//! protocol engine over random access and event streams, generated by
+//! protocol table over random access and event streams, generated by
 //! the in-tree seeded PRNG.
 
 use std::collections::HashMap;
 use tempstream_coherence::{
-    Event, MultiChipConfig, MultiChipSim, ProtocolEngine, ProtocolSpec, ProtocolState,
-    SingleChipConfig, SingleChipSim, Transition, MOSI, MSI,
+    AgentSet, ApplyOutcome, BlockStates, Event, MultiChipConfig, MultiChipSim, ProtocolSpec,
+    ProtocolState, ProtocolTable, SingleChipConfig, SingleChipSim, Transition, MOSI, MSI,
 };
 use tempstream_trace::rng::SmallRng;
 use tempstream_trace::{
@@ -247,8 +247,8 @@ fn recording_toggle_is_transparent() {
 ///
 /// The seed implementation kept a separate `owner: HashMap<Block, u32>`
 /// that silently *tolerated* staleness with a residency filter at the
-/// lookup site; the `ProtocolEngine` replacement observes every eviction
-/// and invalidation as a protocol event, so the `debug_assert!`
+/// lookup site; the table-driven states observe every eviction and
+/// invalidation as a protocol event, so the `debug_assert!`
 /// differential hooks inside `SingleChipSim::read` (owner's L1 really
 /// holds the block; the table supplier matches the responder used for
 /// classification) fire on any inconsistency while this test churns.
@@ -311,6 +311,50 @@ fn write_sets_owner_immediately() {
             Some(writer),
             "writer must own the block immediately after its store"
         );
+    }
+}
+
+/// The dense table keyed by block the way the simulators use it: one
+/// packed [`BlockStates`] per block, stepped in place, with all-invalid
+/// blocks dropped so the live-block count is comparable.
+struct TableEngine<S: ProtocolState> {
+    table: ProtocolTable<S>,
+    states: HashMap<Block, BlockStates<S>>,
+}
+
+impl<S: ProtocolState> TableEngine<S> {
+    fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
+        TableEngine {
+            table: ProtocolTable::new(spec, agents),
+            states: HashMap::new(),
+        }
+    }
+
+    fn block(&self, block: Block) -> BlockStates<S> {
+        self.states.get(&block).copied().unwrap_or_default()
+    }
+
+    fn apply(&mut self, agent: u32, block: Block, event: Event) -> ApplyOutcome<S> {
+        let mut b = self.block(block);
+        let out = self.table.step(&mut b, agent, event);
+        self.store(block, b);
+        out
+    }
+
+    fn apply_io_invalidate(&mut self, block: Block) -> AgentSet {
+        let mut b = self.block(block);
+        let dropped = self.table.step_io_invalidate(&mut b);
+        self.store(block, b);
+        dropped
+    }
+
+    fn store(&mut self, block: Block, b: BlockStates<S>) {
+        if b.valid().is_empty() {
+            assert_eq!(b, BlockStates::default(), "all-invalid block is blank");
+            self.states.remove(&block);
+        } else {
+            self.states.insert(block, b);
+        }
     }
 }
 
@@ -407,7 +451,7 @@ impl<S: ProtocolState> ReferenceEngine<S> {
 fn engines_agree<S: ProtocolState>(spec: &'static ProtocolSpec<S>, agents: u32, seed: u64) {
     const BLOCKS: u64 = 12;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut engine = ProtocolEngine::new(spec, agents);
+    let mut engine = TableEngine::new(spec, agents);
     let mut reference = ReferenceEngine::new(spec, agents);
     for step in 0..2000 {
         let agent = rng.gen_range(0..agents);
@@ -439,17 +483,18 @@ fn engines_agree<S: ProtocolState>(spec: &'static ProtocolSpec<S>, agents: u32, 
                 assert_eq!(got.supplier, supplier, "{}", ctx());
             }
         }
-        assert_eq!(engine.live_blocks(), reference.states.len(), "{}", ctx());
+        assert_eq!(engine.states.len(), reference.states.len(), "{}", ctx());
         for b in 0..BLOCKS {
             let b = Block::new(b);
+            let states = engine.block(b);
             for a in 0..agents {
-                assert_eq!(engine.state(a, b), reference.state(a, b), "{}", ctx());
+                assert_eq!(states.state(a), reference.state(a, b), "{}", ctx());
             }
             let owner = (0..agents).find(|&a| reference.state(a, b).is_owner());
-            assert_eq!(engine.owner(b), owner, "{}", ctx());
+            assert_eq!(states.owner(), owner, "{}", ctx());
         }
         let others = (0..agents).any(|a| a != agent && reference.state(a, block).is_valid());
-        assert_eq!(engine.other_valid(agent, block), others, "{}", ctx());
+        assert_eq!(engine.block(block).other_valid(agent), others, "{}", ctx());
     }
 }
 
@@ -484,5 +529,5 @@ fn table_hole_fails_at_construction() {
         transitions: Box::leak(rows.into_boxed_slice()),
         impossible: MSI.impossible,
     }));
-    let _ = ProtocolEngine::new(spec, 2);
+    let _ = ProtocolTable::new(spec, 2);
 }

@@ -7,8 +7,9 @@ use tempstream_core::origins::OriginTable;
 use tempstream_core::report::{format_length_cdf, format_origin_table, format_reuse_pdf};
 use tempstream_core::streams::StreamAnalysis;
 use tempstream_core::stride::StrideDetector;
+use tempstream_obsv::Registry;
 use tempstream_trace::io::{read_trace, write_trace};
-use tempstream_trace::{IntraChipClass, MissClass, MissTrace};
+use tempstream_trace::{AccessKind, IntraChipClass, MemoryAccess, MissClass, MissTrace};
 use tempstream_workloads::{Scale, Workload, WorkloadSession};
 
 fn quick() -> ExperimentConfig {
@@ -138,6 +139,47 @@ fn warmup_recording_split_reduces_compulsory() {
         warm < cold,
         "warmup must reduce compulsory share (cold {cold:.3}, warm {warm:.3})"
     );
+}
+
+#[test]
+fn read_paths_account_for_every_read() {
+    // Every read is either answered silently by a cache hit or probes
+    // its block record, and both simulators export the split (plus the
+    // block table's size) under their labelled prefix.
+    let stream = |w: Workload, cpus: u32| {
+        let mut accesses: Vec<MemoryAccess> = Vec::new();
+        WorkloadSession::new(w, cpus, 7).run(&mut accesses, 150);
+        let reads = accesses
+            .iter()
+            .filter(|a| a.kind == AccessKind::Read)
+            .count() as u64;
+        (accesses, reads)
+    };
+    for w in [Workload::Oltp, Workload::Apache] {
+        let registry = Registry::new();
+        let (accesses, mc_reads) = stream(w, 16);
+        let mut mc = MultiChipSim::new(MultiChipConfig::paper());
+        mc.run(&accesses);
+        mc.export_obsv(&registry, "sim/w/multi_chip");
+        let (accesses, sc_reads) = stream(w, 4);
+        let mut sc = SingleChipSim::new(SingleChipConfig::paper());
+        sc.run(&accesses);
+        sc.export_obsv(&registry, "sim/w/single_chip");
+        for (ctx, reads) in [("multi_chip", mc_reads), ("single_chip", sc_reads)] {
+            let prefix = format!("sim/w/{ctx}");
+            let silent = registry
+                .counter(&format!("{prefix}/reads/silent_hits"))
+                .get();
+            let probed = registry.counter(&format!("{prefix}/reads/probed")).get();
+            assert_eq!(silent + probed, reads, "{w:?} {ctx}");
+            assert!(
+                silent > 0 && probed > 0,
+                "{w:?} {ctx}: {silent} silent, {probed} probed"
+            );
+            let bytes = registry.gauge(&format!("{prefix}/block_table/bytes")).get();
+            assert!(bytes > 0, "{w:?} {ctx}: empty block table");
+        }
+    }
 }
 
 #[test]
