@@ -128,6 +128,8 @@ jq -e 'has("meta") and has("metrics") and has("runtime")' "$det_dir/metrics.json
 jq -e '(.metrics.spans | has("stage")) and (.metrics.counters | has("sim")) and (.metrics.gauges | has("sequitur"))' \
   "$det_dir/metrics.json" >/dev/null \
   || { echo "metrics gate FAILED: registry missing stage/sim/sequitur sections"; exit 1; }
+jq -e '.metrics.gauges.sequitur.digram_index_bytes > 0' "$det_dir/metrics.json" >/dev/null \
+  || { echo "metrics gate FAILED: sequitur/digram_index_bytes gauge missing or zero"; exit 1; }
 
 echo "== serve soak: loopback ingest + verify + drain =="
 # A real server process on an ephemeral loopback port, a real client.

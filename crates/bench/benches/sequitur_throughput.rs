@@ -1,10 +1,20 @@
 //! SEQUITUR core throughput on synthetic inputs with known repetition
-//! structure (the analysis's asymptotic cost driver).
+//! structure (the analysis's asymptotic cost driver), and on a real miss
+//! trace at paper scale.
+//!
+//! The synthetic inputs are 100 k symbols: the builder's node arena and
+//! digram index fit in a host L2, so they time the algorithm's compute
+//! path. The paper-scale case pushes DB2's (OLTP) default-scale
+//! multi-chip miss trace, capped at the analysis cap of 1.5 M misses as
+//! the batch pipeline caps it; its index and arena are tens of MB, so it
+//! also times the memory misses that index probes cost at that size.
 
 use std::hint::black_box;
 use tempstream_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
+use tempstream_core::{stages, ExperimentConfig};
 use tempstream_sequitur::Sequitur;
 use tempstream_trace::rng::SmallRng;
+use tempstream_workloads::Workload;
 
 fn inputs() -> Vec<(&'static str, Vec<u64>)> {
     let n = 100_000usize;
@@ -35,10 +45,26 @@ fn inputs() -> Vec<(&'static str, Vec<u64>)> {
     ]
 }
 
+/// DB2's paper-scale multi-chip miss-block sequence, capped as the
+/// batch pipeline caps it before SEQUITUR.
+fn db2_paper_trace() -> Vec<u64> {
+    let cfg = ExperimentConfig::paper();
+    let (trace, _symbols) = stages::collect_multi_chip(&cfg, Workload::Oltp);
+    stages::cap(trace.records(), cfg.max_analysis_misses)
+        .iter()
+        .map(|r| r.block.raw())
+        .collect()
+}
+
 fn sequitur_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("sequitur");
     g.sample_size(10);
-    for (name, input) in inputs() {
+    let db2 = db2_paper_trace();
+    let paper = [(format!("db2_multi_chip_paper/{}sym", db2.len()), db2)];
+    let synthetic = inputs()
+        .into_iter()
+        .map(|(name, input)| (name.to_string(), input));
+    for (name, input) in synthetic.chain(paper) {
         g.throughput(Throughput::Elements(input.len() as u64));
         g.bench_function(name, |b| {
             b.iter(|| {

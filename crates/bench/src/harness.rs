@@ -11,19 +11,25 @@
 //! Reported numbers are wall-clock medians over `sample_size` samples,
 //! with elements/second derived from [`Throughput::Elements`] when set.
 //! They are indicative, not statistically rigorous; the point of keeping
-//! the benches alive is catching order-of-magnitude regressions.
+//! the benches alive is catching order-of-magnitude regressions. Each
+//! result also records its sample count, the fastest and slowest sample
+//! and the median absolute deviation, so a reader can tell a real change
+//! from run-to-run spread.
 //!
 //! Besides the console table, each group writes its results to
 //! `BENCH_<group>.json` in the working directory (set
 //! `TEMPSTREAM_BENCH_DIR` to redirect) so runs can be archived and
-//! diffed mechanically. `TEMPSTREAM_BENCH_SAMPLES` overrides every
-//! group's sample count — CI's perf smoke gate uses it to trade
+//! diffed mechanically; the file names the git revision it was measured
+//! at (`"unknown"` outside a checkout). `TEMPSTREAM_BENCH_SAMPLES`
+//! overrides every group's sample count — CI's perf smoke gate uses it to trade
 //! precision for wall-clock. A group may name one benchmark as its
 //! [`baseline`](BenchmarkGroup::baseline); every other result then
 //! carries a `speedup_vs_<baseline>` ratio (>1 means faster than the
 //! baseline) in the JSON.
 
 use std::hint::black_box;
+use std::path::Path;
+use std::process::Command;
 use std::time::Instant;
 use tempstream_obsv::json::Json;
 
@@ -56,19 +62,62 @@ fn sample_override() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
+/// The git revision checked out at `dir`, or `"unknown"` outside a
+/// checkout (or without `git`).
+fn git_rev_in(dir: &Path) -> String {
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// One finished benchmark's numbers, as written to `BENCH_<group>.json`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct BenchResult {
     name: String,
+    samples: u64,
     median_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
+    /// Median absolute deviation from the median.
+    mad_ns: u64,
     elements: Option<u64>,
 }
 
 impl BenchResult {
+    /// Summarizes `samples` (nanoseconds, at least one).
+    fn new(name: String, samples: &[u128], elements: Option<u64>) -> Self {
+        let ns = |x: u128| x.min(u128::from(u64::MAX)) as u64;
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let median = sorted[sorted.len() / 2];
+        let mut deviations: Vec<u128> = sorted.iter().map(|&x| x.abs_diff(median)).collect();
+        deviations.sort_unstable();
+        BenchResult {
+            name,
+            samples: sorted.len() as u64,
+            median_ns: ns(median),
+            min_ns: ns(sorted[0]),
+            max_ns: ns(sorted[sorted.len() - 1]),
+            mad_ns: ns(deviations[deviations.len() / 2]),
+            elements,
+        }
+    }
+
     fn to_json(&self, baseline: Option<(&str, u64)>) -> Json {
         let mut o = Json::obj();
         o.set("name", Json::Str(self.name.clone()));
+        o.set("samples", Json::UInt(self.samples));
         o.set("median_ns", Json::UInt(self.median_ns));
+        o.set("min_ns", Json::UInt(self.min_ns));
+        o.set("max_ns", Json::UInt(self.max_ns));
+        o.set("mad_ns", Json::UInt(self.mad_ns));
         if let Some(n) = self.elements {
             o.set("elements", Json::UInt(n));
             o.set(
@@ -144,8 +193,12 @@ impl BenchmarkGroup<'_> {
             f(&mut b);
             samples.push(b.elapsed_ns);
         }
-        samples.sort_unstable();
-        let median = samples[samples.len() / 2];
+        let result = BenchResult::new(
+            name.to_string(),
+            &samples,
+            self.throughput.map(|Throughput::Elements(n)| n),
+        );
+        let median = result.median_ns;
         let line = match self.throughput {
             Some(Throughput::Elements(n)) if median > 0 => {
                 let eps = (n as f64) * 1e9 / median as f64;
@@ -154,11 +207,7 @@ impl BenchmarkGroup<'_> {
             _ => format!("{name:<40} {median:>12} ns/iter"),
         };
         println!("  {line}");
-        self.results.push(BenchResult {
-            name: name.to_string(),
-            median_ns: median.min(u128::from(u64::MAX)) as u64,
-            elements: self.throughput.map(|Throughput::Elements(n)| n),
-        });
+        self.results.push(result);
         self
     }
 
@@ -174,6 +223,7 @@ impl BenchmarkGroup<'_> {
         });
         let mut doc = Json::obj();
         doc.set("group", Json::Str(self.name.clone()));
+        doc.set("git_rev", Json::Str(git_rev_in(Path::new("."))));
         doc.set("sample_size", Json::UInt(self.sample_size as u64));
         // Scaling numbers are meaningless without the parallelism they
         // ran under; archive it next to the results (0 = unknown).
@@ -285,6 +335,72 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].get("elements").and_then(Json::as_u64), Some(10));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn results_carry_sample_spread_and_git_rev() {
+        let _env = ENV_LOCK.lock().unwrap();
+        let dir = std::env::temp_dir().join(format!("tempstream-bench-md-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var("TEMPSTREAM_BENCH_DIR", &dir);
+
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("metatest");
+        g.sample_size(5);
+        g.bench_function("sleep", |b| {
+            b.iter(|| std::thread::sleep(std::time::Duration::from_millis(1)));
+        });
+        g.finish();
+
+        let text = std::fs::read_to_string(dir.join("BENCH_metatest.json")).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        let rev = doc
+            .get("git_rev")
+            .and_then(Json::as_str)
+            .expect("git_rev archived");
+        assert!(
+            rev == "unknown" || (rev.len() >= 40 && rev.chars().all(|c| c.is_ascii_hexdigit())),
+            "git_rev is a revision or \"unknown\", got {rev:?}"
+        );
+        let Some(Json::Arr(results)) = doc.get("results") else {
+            panic!("results array missing");
+        };
+        let field = |k: &str| {
+            results[0]
+                .get(k)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{k} missing"))
+        };
+        assert_eq!(field("samples"), 5);
+        let (min, median, max) = (field("min_ns"), field("median_ns"), field("max_ns"));
+        assert!(1_000_000 <= min && min <= median && median <= max);
+        assert!(field("mad_ns") <= max - min);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_statistics_of_known_samples() {
+        let r = BenchResult::new("x".into(), &[40, 10, 30, 100, 20], Some(7));
+        // Sorted 10 20 30 40 100: median 30; deviations 0 10 10 20 70.
+        assert_eq!(
+            r,
+            BenchResult {
+                name: "x".into(),
+                samples: 5,
+                median_ns: 30,
+                min_ns: 10,
+                max_ns: 100,
+                mad_ns: 10,
+                elements: Some(7),
+            }
+        );
+    }
+
+    #[test]
+    fn git_rev_outside_a_checkout_is_unknown() {
+        let missing =
+            std::env::temp_dir().join(format!("tempstream-no-such-dir-{}", std::process::id()));
+        assert_eq!(git_rev_in(&missing), "unknown");
     }
 
     #[test]

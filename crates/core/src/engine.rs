@@ -450,6 +450,11 @@ impl<C: Copy> AnalysisEngine<C> {
         self.seq.digram_index_len()
     }
 
+    /// Bytes of the SEQUITUR digram index's slot table (builder footprint).
+    pub fn digram_index_bytes(&self) -> usize {
+        self.seq.digram_index_bytes()
+    }
+
     /// Current size of the SEQUITUR node arena (builder footprint).
     pub fn node_arena_len(&self) -> usize {
         self.seq.node_arena_len()
@@ -484,6 +489,9 @@ pub fn batch_stream_analysis<C: Copy>(records: &[MissRecord<C>], num_cpus: u32) 
     registry
         .gauge("sequitur/digram_index")
         .set_max(engine.digram_index_len() as u64);
+    registry
+        .gauge("sequitur/digram_index_bytes")
+        .set_max(engine.digram_index_bytes() as u64);
     registry
         .gauge("sequitur/node_arena")
         .set_max(engine.node_arena_len() as u64);

@@ -10,17 +10,30 @@
 //! A symbol is one tagged word ([`Sym`]): the top two bits say terminal,
 //! non-terminal, guard or freed, and the low 62 bits carry the terminal
 //! value or rule id. A body node is `{prev, next, sym}` in 16 bytes, kept
-//! in one arena (`Vec<Node>`) with a free list and `u32` ids. The digram
-//! index is keyed by the two symbol words of a digram (see
-//! [`DigramIndex`]).
+//! in one arena (`Vec<Node>`) with a free list and 31-bit ids; the top bit
+//! of `prev` is the node's *indexed* bit. The digram index maps the two
+//! symbol words of a digram to the node where it starts, and reads those
+//! words back from the arena (see [`DigramIndex`]).
+//!
+//! # The indexed bit
+//!
+//! A node's indexed bit is set iff an index entry points at it. Every
+//! entry points at a node whose current digram is the entry's key (a
+//! node's entry is deleted before its successor changes and before it is
+//! freed), so the bit equals "the index maps my digram to me". With it,
+//! deleting a node's digram needs no look-up when the bit is clear, which
+//! it is for the transient digrams a substitution forms and breaks, and
+//! otherwise removes the known slot without comparing keys.
 
 use crate::grammar::{Grammar, GrammarSymbol, RuleId};
-use crate::index::{DigramIndex, NodeId};
+use crate::index::{DigramIndex, Keys, NodeId};
 use std::fmt;
 use std::hash::BuildHasher;
 use tempstream_fxhash::{FxBuildHasher, FxHashMap};
 
-const NIL: NodeId = u32::MAX;
+/// The null link. Node ids stay below it: the top bit of a node's `prev`
+/// word is its indexed bit.
+const NIL: NodeId = (1 << 31) - 1;
 
 /// A packed symbol: a 2-bit tag in the top bits over a 62-bit value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,9 +102,41 @@ type DigramKey = (Sym, Sym);
 
 #[derive(Debug, Clone)]
 struct Node {
-    prev: NodeId,
+    /// The previous node's id, with the indexed bit on top.
+    prev_bits: u32,
     next: NodeId,
     sym: Sym,
+}
+
+impl Node {
+    const INDEXED: u32 = 1 << 31;
+
+    fn prev(&self) -> NodeId {
+        self.prev_bits & !Self::INDEXED
+    }
+
+    fn set_prev(&mut self, prev: NodeId) {
+        self.prev_bits = (self.prev_bits & Self::INDEXED) | prev;
+    }
+
+    /// Whether an index entry points at this node.
+    fn indexed(&self) -> bool {
+        self.prev_bits & Self::INDEXED != 0
+    }
+
+    fn set_indexed(&mut self, indexed: bool) {
+        self.prev_bits = self.prev() | if indexed { Self::INDEXED } else { 0 };
+    }
+}
+
+/// The index reads an entry's key back from the node it points at.
+impl Keys for [Node] {
+    #[inline]
+    fn key(&self, node: NodeId) -> (u64, u64) {
+        let n = &self[node as usize];
+        debug_assert!(!n.sym.is_freed(), "index entry at freed node {node}");
+        (n.sym.0, self[n.next as usize].sym.0)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -208,6 +253,11 @@ impl<H: BuildHasher> Sequitur<H> {
         self.index.len()
     }
 
+    /// Bytes the digram index's slot table occupies (8 per slot).
+    pub fn digram_index_bytes(&self) -> usize {
+        self.index.bytes()
+    }
+
     /// Rules ever created (including the root and rules later deleted
     /// by the utility constraint).
     pub fn rules_created(&self) -> usize {
@@ -240,9 +290,9 @@ impl<H: BuildHasher> Sequitur<H> {
         self.input_len += 1;
         let node = self.alloc(Sym::terminal(symbol));
         let root_guard = self.rules[0].guard;
-        let last = self.nodes[root_guard as usize].prev;
+        let last = self.nodes[root_guard as usize].prev();
         self.insert_after(last, node);
-        let prev = self.nodes[node as usize].prev;
+        let prev = self.nodes[node as usize].prev();
         if prev != root_guard {
             self.check(prev);
         }
@@ -336,7 +386,7 @@ impl<H: BuildHasher> Sequitur<H> {
             self.rules[r as usize].refcount += 1;
         }
         let node = Node {
-            prev: NIL,
+            prev_bits: NIL,
             next: NIL,
             sym,
         };
@@ -346,7 +396,7 @@ impl<H: BuildHasher> Sequitur<H> {
         } else {
             let id = u32::try_from(self.nodes.len())
                 .ok()
-                .filter(|&id| id != NIL)
+                .filter(|&id| id < NIL)
                 .expect("node arena overflow");
             self.nodes.push(node);
             id
@@ -355,6 +405,10 @@ impl<H: BuildHasher> Sequitur<H> {
 
     /// Returns `node` to the free list.
     fn free_node(&mut self, node: NodeId) {
+        debug_assert!(
+            !self.nodes[node as usize].indexed(),
+            "freeing indexed node {node}"
+        );
         self.nodes[node as usize].sym = Sym::FREED;
         self.free.push(node);
     }
@@ -364,7 +418,7 @@ impl<H: BuildHasher> Sequitur<H> {
         let guard = self.alloc(Sym::guard(rule_id));
         // The guard closes the circular list on itself while the body is
         // empty.
-        self.nodes[guard as usize].prev = guard;
+        self.nodes[guard as usize].set_prev(guard);
         self.nodes[guard as usize].next = guard;
         self.rules.push(RuleData {
             guard,
@@ -396,15 +450,21 @@ impl<H: BuildHasher> Sequitur<H> {
 
     /// Indexes the digram `key` at `node`, replacing any previous entry.
     fn index_insert(&mut self, (a, b): DigramKey, node: NodeId) {
-        self.index.insert(a.0, b.0, node);
+        if let Some(old) = self.index.insert(a.0, b.0, node, &self.nodes[..]) {
+            self.nodes[old as usize].set_indexed(false);
+        }
+        self.nodes[node as usize].set_indexed(true);
     }
 
     /// Removes the digram starting at `first` from the index, if the index
     /// entry points at `first`.
     fn delete_digram(&mut self, first: NodeId) {
-        if let Some((a, b)) = self.digram_key(first) {
-            self.index.remove_if(a.0, b.0, first);
+        if !self.nodes[first as usize].indexed() {
+            return;
         }
+        let (a, b) = self.nodes.key(first);
+        self.index.remove(a, b, first);
+        self.nodes[first as usize].set_indexed(false);
     }
 
     /// Links `left -> right`, removing `left`'s old digram from the index
@@ -416,7 +476,7 @@ impl<H: BuildHasher> Sequitur<H> {
             // Triple fix-ups (see canonical implementation): when digrams
             // overlap in a run of equal symbols only the later one is
             // indexed; on deletion of the later one, restore the earlier.
-            let rp = self.nodes[right as usize].prev;
+            let rp = self.nodes[right as usize].prev();
             let rn = self.nodes[right as usize].next;
             if rp != NIL && rn != NIL {
                 let v = self.nodes[right as usize].sym;
@@ -427,7 +487,7 @@ impl<H: BuildHasher> Sequitur<H> {
                     self.index_insert((v, v), right);
                 }
             }
-            let lp = self.nodes[left as usize].prev;
+            let lp = self.nodes[left as usize].prev();
             let ln = self.nodes[left as usize].next;
             if lp != NIL && ln != NIL {
                 let v = self.nodes[left as usize].sym;
@@ -440,7 +500,7 @@ impl<H: BuildHasher> Sequitur<H> {
             }
         }
         self.nodes[left as usize].next = right;
-        self.nodes[right as usize].prev = left;
+        self.nodes[right as usize].set_prev(left);
     }
 
     /// Inserts `new` immediately after `node`.
@@ -454,7 +514,7 @@ impl<H: BuildHasher> Sequitur<H> {
     /// neighbors, removes its digram from the index, and drops a rule
     /// reference if it was a non-terminal.
     fn delete_symbol(&mut self, node: NodeId) {
-        let prev = self.nodes[node as usize].prev;
+        let prev = self.nodes[node as usize].prev();
         let next = self.nodes[node as usize].next;
         self.join(prev, next);
         // Own digram removal uses the *old* neighbor, which `join` left
@@ -473,7 +533,8 @@ impl<H: BuildHasher> Sequitur<H> {
         let Some((a, b)) = self.digram_key(first) else {
             return false;
         };
-        let Some(found) = self.index.get_or_insert(a.0, b.0, first) else {
+        let Some(found) = self.index.get_or_insert(a.0, b.0, first, &self.nodes[..]) else {
+            self.nodes[first as usize].set_indexed(true);
             return false;
         };
         // Skip self-hits and overlapping occurrences (runs like "aaa",
@@ -487,7 +548,7 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Handles a repeated digram: `new_d` just formed, `found` is the
     /// indexed earlier occurrence.
     fn match_digrams(&mut self, new_d: NodeId, found: NodeId) {
-        let found_prev = self.nodes[found as usize].prev;
+        let found_prev = self.nodes[found as usize].prev();
         let found_next = self.nodes[found as usize].next;
         let found_next_next = self.nodes[found_next as usize].next;
 
@@ -509,10 +570,10 @@ impl<H: BuildHasher> Sequitur<H> {
             let c1 = self.alloc(self.nodes[new_d as usize].sym);
             let second = self.nodes[new_d as usize].next;
             let second_sym = self.nodes[second as usize].sym;
-            let last = self.nodes[guard as usize].prev;
+            let last = self.nodes[guard as usize].prev();
             self.insert_after(last, c1);
             let c2 = self.alloc(second_sym);
-            let last = self.nodes[guard as usize].prev;
+            let last = self.nodes[guard as usize].prev();
             self.insert_after(last, c2);
             self.substitute(found, rule_id);
             self.substitute(new_d, rule_id);
@@ -540,7 +601,7 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Replaces the digram starting at `first` with a non-terminal for
     /// `rule`, then re-checks the digrams formed on either side.
     fn substitute(&mut self, first: NodeId, rule: u32) {
-        let prev = self.nodes[first as usize].prev;
+        let prev = self.nodes[first as usize].prev();
         let a = self.nodes[prev as usize].next;
         self.delete_symbol(a);
         let b = self.nodes[prev as usize].next;
@@ -560,11 +621,11 @@ impl<H: BuildHasher> Sequitur<H> {
             .sym
             .rule_ref()
             .expect("expand on a symbol that is not a non-terminal");
-        let left = self.nodes[node as usize].prev;
+        let left = self.nodes[node as usize].prev();
         let right = self.nodes[node as usize].next;
         let guard = self.rules[rule as usize].guard;
         let body_first = self.nodes[guard as usize].next;
-        let body_last = self.nodes[guard as usize].prev;
+        let body_last = self.nodes[guard as usize].prev();
         debug_assert_ne!(body_first, guard, "expanding an empty rule");
 
         // Remove the digram starting at `node`, splice the body in place of
@@ -615,7 +676,8 @@ impl<H: BuildHasher> Sequitur<H> {
                 let n = &self.nodes[cur as usize];
                 assert!(!n.sym.is_freed(), "rule {rid}: dead node {cur} in body");
                 assert_eq!(
-                    self.nodes[n.next as usize].prev, cur,
+                    self.nodes[n.next as usize].prev(),
+                    cur,
                     "rule {rid}: broken back-link at node {cur}"
                 );
                 if let Some(r) = n.sym.rule_ref() {
@@ -639,9 +701,20 @@ impl<H: BuildHasher> Sequitur<H> {
                     } else {
                         digrams_seen.insert(key, (rid, pos));
                     }
+                    let entry = self.index.get(a.0, b.0, &self.nodes[..]);
                     assert!(
-                        self.index.get(a.0, b.0).is_some(),
+                        entry.is_some(),
                         "digram {key:?} (rule {rid} pos {pos}) missing from index"
+                    );
+                    assert_eq!(
+                        n.indexed(),
+                        entry == Some(cur),
+                        "node {cur} (rule {rid} pos {pos}): indexed bit disagrees with the index"
+                    );
+                } else {
+                    assert!(
+                        !n.indexed(),
+                        "node {cur} (rule {rid} pos {pos}) has no digram but its indexed bit is set"
                     );
                 }
                 cur = n.next;
@@ -676,26 +749,38 @@ impl<H: BuildHasher> Sequitur<H> {
             }
         }
 
-        // Every index entry must point at a live node whose current digram
-        // matches its key.
-        for (a, b, node) in self.index.iter() {
-            let key = (Sym(a), Sym(b));
+        // Every index entry must point at a live, indexed node and be found
+        // under the digram read back from that node. The slots store no key,
+        // so an entry whose node's digram has changed would be found under
+        // the new digram's hash only by chance.
+        for node in self.index.nodes() {
             let n = &self.nodes[node as usize];
+            assert!(!n.sym.is_freed(), "index entry points at dead node {node}");
             assert!(
-                !n.sym.is_freed(),
-                "index entry {key:?} points at dead node {node}"
+                n.indexed(),
+                "index entry points at node {node} whose indexed bit is clear"
             );
+            let (a, b) = self
+                .digram_key(node)
+                .unwrap_or_else(|| panic!("index entry points at node {node} without a digram"));
             assert_eq!(
-                self.digram_key(node),
-                Some(key),
-                "index entry {key:?} points at node {node} with different digram"
+                self.index.get(a.0, b.0, &self.nodes[..]),
+                Some(node),
+                "index entry at node {node} is not found under its digram {:?}",
+                (a, b)
             );
         }
         assert_eq!(
-            self.index.iter().count(),
+            self.index.nodes().count(),
             self.index.len(),
             "index length disagrees with its occupied slots"
         );
+        for &node in &self.free {
+            assert!(
+                !self.nodes[node as usize].indexed(),
+                "freed node {node} has its indexed bit set"
+            );
+        }
     }
 }
 

@@ -5,20 +5,27 @@
 //! about as often as it inserts, so the table is built for exactly that
 //! mix:
 //!
-//! - **Flat 24-byte slots** `[first, second, node | hash << 32]` in one
-//!   power-of-two array, probed linearly from the key's home slot. An
-//!   empty slot holds the node id `NIL` (`u32::MAX`), which no entry uses.
-//! - **Backward-shift deletion**, so there are no tombstones: removing a
-//!   key moves later members of its probe run back into the hole, and a
+//! - **Flat 8-byte slots** `node | hash << 32` in one power-of-two array,
+//!   probed linearly from the key's home slot. An empty slot is all ones
+//!   (node id `u32::MAX`, which no entry uses).
+//! - **Keys read back from the nodes.** A slot stores no key: every entry
+//!   points at a node whose current digram *is* its key, so a probe whose
+//!   stored hash matches reads the key back through [`Keys`] (the node's
+//!   symbol and its successor's). The caller keeps entries fresh: a node's
+//!   entry is removed before its digram changes or the node is freed.
+//! - **Backward-shift deletion**, so there are no tombstones: removing an
+//!   entry moves later members of its probe run back into the hole, and a
 //!   lookup can stop at the first empty slot however much churn the table
 //!   has seen.
 //! - **Fused operations.** [`get_or_insert`](DigramIndex::get_or_insert)
-//!   and [`remove_if`](DigramIndex::remove_if) each cost one probe
-//!   sequence where a map's `get` followed by `insert`/`remove` costs two.
+//!   costs one probe sequence where a map's `get` followed by `insert`
+//!   costs two, [`insert`](DigramIndex::insert) returns the node it
+//!   displaced, and [`remove`](DigramIndex::remove) looks for the exact
+//!   slot value of a known entry without reading any key.
 //!
 //! The home slot is the top bits of the stored hash (the best-mixed bits
 //! of a multiplicative hash), and growth (at a load of 7/8) re-homes
-//! every key from its stored hash without hashing it again.
+//! every entry from its stored hash without hashing or reading its key.
 
 use std::hash::BuildHasher;
 
@@ -28,15 +35,17 @@ pub(crate) type NodeId = u32;
 /// Slots in a new table.
 const MIN_SLOTS: usize = 16;
 
-/// One slot: the two digram words, then the node id in the low half and
-/// the stored hash in the high half of the last word.
-type Slot = [u64; 3];
+/// One slot: the node id in the low half, the stored hash in the high half.
+type Slot = u64;
 
-/// The last word of an empty slot: node `NIL` (and an all-ones hash).
-const EMPTY_TAIL: u64 = u64::MAX;
+/// An empty slot: node `u32::MAX` (and an all-ones hash).
+const EMPTY: Slot = u64::MAX;
 
-/// An empty slot.
-const EMPTY: Slot = [0, 0, EMPTY_TAIL];
+/// Where the index reads an entry's key back from.
+pub(crate) trait Keys {
+    /// The digram, as two symbol words, that starts at `node`.
+    fn key(&self, node: NodeId) -> (u64, u64);
+}
 
 /// Open-addressed digram index; see the module docs.
 #[derive(Debug, Clone)]
@@ -68,56 +77,83 @@ impl<H: BuildHasher> DigramIndex<H> {
         self.len
     }
 
+    /// Bytes of slot storage.
+    pub(crate) fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
+    }
+
     /// The node indexed under digram `(a, b)`, if any.
-    pub(crate) fn get(&self, a: u64, b: u64) -> Option<NodeId> {
-        self.find(a, b, self.hash(a, b))
+    pub(crate) fn get(&self, a: u64, b: u64, keys: &(impl Keys + ?Sized)) -> Option<NodeId> {
+        self.find(a, b, self.hash(a, b), keys)
             .ok()
-            .map(|i| node_of(&self.slots[i]))
+            .map(|i| node_of(self.slots[i]))
     }
 
     /// Returns the node indexed under `(a, b)`, or indexes `node` there
     /// and returns `None` if the digram was absent.
-    pub(crate) fn get_or_insert(&mut self, a: u64, b: u64, node: NodeId) -> Option<NodeId> {
+    pub(crate) fn get_or_insert(
+        &mut self,
+        a: u64,
+        b: u64,
+        node: NodeId,
+        keys: &(impl Keys + ?Sized),
+    ) -> Option<NodeId> {
         self.reserve_one();
         let hash = self.hash(a, b);
-        match self.find(a, b, hash) {
-            Ok(i) => Some(node_of(&self.slots[i])),
+        match self.find(a, b, hash, keys) {
+            Ok(i) => Some(node_of(self.slots[i])),
             Err(i) => {
-                self.slots[i] = pack(a, b, node, hash);
+                self.slots[i] = pack(node, hash);
                 self.len += 1;
                 None
             }
         }
     }
 
-    /// Indexes `node` under `(a, b)`, replacing any previous entry.
-    pub(crate) fn insert(&mut self, a: u64, b: u64, node: NodeId) {
+    /// Indexes `node` under `(a, b)`, returning the node the previous
+    /// entry pointed at, if there was one.
+    pub(crate) fn insert(
+        &mut self,
+        a: u64,
+        b: u64,
+        node: NodeId,
+        keys: &(impl Keys + ?Sized),
+    ) -> Option<NodeId> {
         self.reserve_one();
         let hash = self.hash(a, b);
-        match self.find(a, b, hash) {
-            Ok(i) => self.slots[i][2] = pack_tail(node, hash),
+        let (i, old) = match self.find(a, b, hash, keys) {
+            Ok(i) => (i, Some(node_of(self.slots[i]))),
             Err(i) => {
-                self.slots[i] = pack(a, b, node, hash);
                 self.len += 1;
+                (i, None)
             }
-        }
+        };
+        self.slots[i] = pack(node, hash);
+        old
     }
 
-    /// Removes the entry for `(a, b)` if it points at `node`.
-    pub(crate) fn remove_if(&mut self, a: u64, b: u64, node: NodeId) {
-        if let Ok(i) = self.find(a, b, self.hash(a, b)) {
-            if node_of(&self.slots[i]) == node {
-                self.remove_at(i);
-            }
+    /// Removes the entry `(a, b) -> node`, which must exist.
+    ///
+    /// Looks for the slot value `node | hash(a, b)`: only this entry can
+    /// hold it, because no other entry points at `node`.
+    pub(crate) fn remove(&mut self, a: u64, b: u64, node: NodeId) {
+        let hash = self.hash(a, b);
+        let want = pack(node, hash);
+        let mask = self.mask();
+        let mut i = self.home(hash);
+        while self.slots[i] != want {
+            assert_ne!(self.slots[i], EMPTY, "removing an absent digram entry");
+            i = (i + 1) & mask;
         }
+        self.remove_at(i);
     }
 
-    /// Every entry as `(a, b, node)`, in slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64, NodeId)> + '_ {
+    /// The node of every entry, in slot order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.slots
             .iter()
-            .filter(|s| s[2] != EMPTY_TAIL)
-            .map(|s| (s[0], s[1], node_of(s)))
+            .filter(|&&s| s != EMPTY)
+            .map(|&s| node_of(s))
     }
 
     fn hash(&self, a: u64, b: u64) -> u32 {
@@ -133,16 +169,17 @@ impl<H: BuildHasher> DigramIndex<H> {
     }
 
     /// `Ok(slot)` holding `(a, b)`, or `Err(slot)`: the empty slot that
-    /// ends its probe run, where it would be inserted.
-    fn find(&self, a: u64, b: u64, hash: u32) -> Result<usize, usize> {
+    /// ends its probe run, where it would be inserted. A key is read back
+    /// only from a slot whose stored hash matches.
+    fn find(&self, a: u64, b: u64, hash: u32, keys: &(impl Keys + ?Sized)) -> Result<usize, usize> {
         let mask = self.mask();
         let mut i = self.home(hash);
         loop {
-            let s = &self.slots[i];
-            if s[2] == EMPTY_TAIL {
+            let s = self.slots[i];
+            if s == EMPTY {
                 return Err(i);
             }
-            if (s[2] >> 32) as u32 == hash && s[0] == a && s[1] == b {
+            if hash_of(s) == hash && keys.key(node_of(s)) == (a, b) {
                 return Ok(i);
             }
             i = (i + 1) & mask;
@@ -158,10 +195,10 @@ impl<H: BuildHasher> DigramIndex<H> {
         loop {
             j = (j + 1) & mask;
             let s = self.slots[j];
-            if s[2] == EMPTY_TAIL {
+            if s == EMPTY {
                 break;
             }
-            let home = self.home((s[2] >> 32) as u32);
+            let home = self.home(hash_of(s));
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
                 self.slots[hole] = s;
                 hole = j;
@@ -180,9 +217,9 @@ impl<H: BuildHasher> DigramIndex<H> {
         let old = std::mem::replace(&mut self.slots, grown);
         self.shift = self.shift.checked_sub(1).expect("digram index overflow");
         let mask = self.mask();
-        for s in old.into_iter().filter(|s| s[2] != EMPTY_TAIL) {
-            let mut i = self.home((s[2] >> 32) as u32);
-            while self.slots[i][2] != EMPTY_TAIL {
+        for s in old.into_iter().filter(|&s| s != EMPTY) {
+            let mut i = self.home(hash_of(s));
+            while self.slots[i] != EMPTY {
                 i = (i + 1) & mask;
             }
             self.slots[i] = s;
@@ -190,17 +227,17 @@ impl<H: BuildHasher> DigramIndex<H> {
     }
 }
 
-fn pack_tail(node: NodeId, hash: u32) -> u64 {
+fn pack(node: NodeId, hash: u32) -> Slot {
     debug_assert_ne!(node, NodeId::MAX, "the empty-slot node id");
     u64::from(node) | (u64::from(hash) << 32)
 }
 
-fn pack(a: u64, b: u64, node: NodeId, hash: u32) -> Slot {
-    [a, b, pack_tail(node, hash)]
+fn node_of(s: Slot) -> NodeId {
+    s as u32
 }
 
-fn node_of(s: &Slot) -> NodeId {
-    s[2] as u32
+fn hash_of(s: Slot) -> u32 {
+    (s >> 32) as u32
 }
 
 #[cfg(test)]
@@ -222,10 +259,23 @@ mod tests {
         }
     }
 
+    /// A test-side arena: node `n`'s key is `self[n]`.
+    impl Keys for [(u64, u64)] {
+        fn key(&self, node: NodeId) -> (u64, u64) {
+            self[node as usize]
+        }
+    }
+
+    /// Nodes in the model's arena.
+    const NODES: usize = 48;
+
     /// Drives the index and a `std` map model through the same random
-    /// inserts, fused look-ups and conditional removes over a small key
-    /// space (so keys collide, recur and are deleted often), checking
-    /// every answer, the length, and finally the full contents.
+    /// fused look-ups, inserts and removes over a small arena whose nodes
+    /// share keys drawn from a small key space (so keys collide, recur
+    /// and are deleted often), checking every answer, the length, and
+    /// finally the full contents. As in the builder, a node's key changes
+    /// only while no entry points at the node, and `remove` is called
+    /// only for an entry that exists.
     fn model_check<H: BuildHasher>(mut index: DigramIndex<H>, seed: u64) {
         let mut model: HashMap<(u64, u64), NodeId> = HashMap::new();
         let mut x = seed;
@@ -237,43 +287,54 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
+        // Keys near 0 and with high tag bits both occur.
+        let key = |r: u64| (((r >> 8) % 12) | ((r & 1) << 63), (r >> 16) % 12);
+        let mut arena: Vec<(u64, u64)> = (0..NODES).map(|_| key(next())).collect();
+        let indexed = |model: &HashMap<(u64, u64), NodeId>, arena: &[(u64, u64)], n: NodeId| {
+            model.get(&arena[n as usize]) == Some(&n)
+        };
         for step in 0..20_000 {
             let r = next();
-            // Keys near 0 and with high tag bits both occur.
-            let a = ((r >> 8) % 24) | ((r & 1) << 63);
-            let b = (r >> 16) % 24;
-            let node = (r >> 32) as NodeId % 8;
-            match r % 5 {
+            let node = (r >> 40) as NodeId % NODES as NodeId;
+            let k @ (a, b) = arena[node as usize];
+            match r % 6 {
                 0 | 1 => {
-                    let got = index.get_or_insert(a, b, node);
-                    let want = model.get(&(a, b)).copied();
+                    let got = index.get_or_insert(a, b, node, &arena[..]);
+                    let want = model.get(&k).copied();
                     if want.is_none() {
-                        model.insert((a, b), node);
+                        model.insert(k, node);
                     }
                     assert_eq!(got, want, "step {step}: get_or_insert({a}, {b})");
                 }
-                2 => {
-                    index.insert(a, b, node);
-                    model.insert((a, b), node);
-                }
+                2 => assert_eq!(
+                    index.insert(a, b, node, &arena[..]),
+                    model.insert(k, node),
+                    "step {step}: insert({a}, {b})"
+                ),
                 3 => {
-                    index.remove_if(a, b, node);
-                    if model.get(&(a, b)) == Some(&node) {
-                        model.remove(&(a, b));
+                    if indexed(&model, &arena, node) {
+                        index.remove(a, b, node);
+                        model.remove(&k);
+                    }
+                }
+                4 => {
+                    // Re-key a node no entry points at.
+                    if !indexed(&model, &arena, node) {
+                        arena[node as usize] = key(next());
                     }
                 }
                 _ => assert_eq!(
-                    index.get(a, b),
-                    model.get(&(a, b)).copied(),
+                    index.get(a, b, &arena[..]),
+                    model.get(&k).copied(),
                     "step {step}: get({a}, {b})"
                 ),
             }
             assert_eq!(index.len(), model.len(), "step {step}: len");
         }
-        let mut entries: Vec<(u64, u64, NodeId)> = index.iter().collect();
+        let mut entries: Vec<((u64, u64), NodeId)> =
+            index.nodes().map(|n| (arena[n as usize], n)).collect();
         entries.sort_unstable();
-        let mut want: Vec<(u64, u64, NodeId)> =
-            model.into_iter().map(|((a, b), n)| (a, b, n)).collect();
+        let mut want: Vec<((u64, u64), NodeId)> = model.into_iter().collect();
         want.sort_unstable();
         assert_eq!(entries, want);
     }
@@ -300,18 +361,29 @@ mod tests {
 
     #[test]
     fn growth_rehomes_every_entry() {
+        let arena: Vec<(u64, u64)> = (0..10_000u64).map(|k| (k, k + 1)).collect();
         let mut index = DigramIndex::with_capacity_and_hasher(0, FxBuildHasher::default());
         for k in 0..10_000u64 {
-            assert_eq!(index.get_or_insert(k, k + 1, k as NodeId), None);
+            assert_eq!(index.get_or_insert(k, k + 1, k as NodeId, &arena[..]), None);
         }
         assert!(index.slots.len() * 7 >= index.len() * 8);
+        assert_eq!(index.bytes(), index.slots.len() * 8);
         for k in 0..10_000u64 {
-            assert_eq!(index.get(k, k + 1), Some(k as NodeId));
+            assert_eq!(index.get(k, k + 1, &arena[..]), Some(k as NodeId));
         }
     }
 
     #[test]
-    fn slots_are_24_bytes() {
-        assert_eq!(std::mem::size_of::<Slot>(), 24);
+    #[should_panic(expected = "absent digram entry")]
+    fn removing_an_absent_entry_panics() {
+        let arena = [(1, 2), (1, 2)];
+        let mut index = DigramIndex::with_capacity_and_hasher(0, FxBuildHasher::default());
+        index.insert(1, 2, 0, &arena[..]);
+        index.remove(1, 2, 1);
+    }
+
+    #[test]
+    fn slots_are_8_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
     }
 }

@@ -255,11 +255,63 @@ enum InFlight {
     Delta,
 }
 
+/// Busy handling for a pipelined connection. A full shard lane refuses a
+/// whole run of in-flight frames at once; the connection stops sending
+/// while that burst's replies come back, pauses once, then resends the
+/// refused frames first, in their original order. The pause doubles
+/// (1 → 100 ms) with each consecutive refused burst and resets on an ack.
+#[derive(Debug)]
+struct BurstBackoff {
+    refused: Vec<usize>,
+    pause: Duration,
+}
+
+impl BurstBackoff {
+    const FIRST: Duration = Duration::from_millis(1);
+    const MAX: Duration = Duration::from_millis(100);
+
+    fn new() -> Self {
+        BurstBackoff {
+            refused: Vec::new(),
+            pause: Self::FIRST,
+        }
+    }
+
+    /// Whether a refused burst is outstanding (send nothing new).
+    fn holding(&self) -> bool {
+        !self.refused.is_empty()
+    }
+
+    fn refuse(&mut self, idx: usize) {
+        self.refused.push(idx);
+    }
+
+    fn ack(&mut self) {
+        self.pause = Self::FIRST;
+    }
+
+    /// Ends the outstanding burst once every frame sent before it has
+    /// replied: puts the refused frames back at the front of `pending` in
+    /// their original order and returns how long to pause first.
+    fn end_burst(&mut self, pending: &mut VecDeque<usize>) -> Option<Duration> {
+        if self.refused.is_empty() {
+            return None;
+        }
+        for idx in self.refused.drain(..).rev() {
+            pending.push_front(idx);
+        }
+        let pause = self.pause;
+        self.pause = (self.pause * 2).min(Self::MAX);
+        Some(pause)
+    }
+}
+
 /// Replays `batches` on one pipelined (v2) connection with up to
 /// `window` frames in flight. Replies are FIFO per connection, so each
 /// reply is matched against the oldest in-flight request and its seq
-/// echo is asserted. A `Busy` batch is re-queued at the front (new
-/// sequence id). When `with_deltas` is set, a `QueryDelta` is
+/// echo is asserted. `Busy` batches are re-queued at the front in their
+/// original order (new sequence ids) after one pause per refused burst
+/// ([`BurstBackoff`]). When `with_deltas` is set, a `QueryDelta` is
 /// interleaved every [`DELTA_EVERY`] acks plus once at the end, and
 /// the accumulated deltas are returned for verification.
 fn run_connection_pipelined(
@@ -280,14 +332,20 @@ fn run_connection_pipelined(
     let mut retries = 0u64;
     let mut acked = Vec::with_capacity(batches.len());
     let mut deltas = DeltaAcc::default();
-    let mut backoff = Duration::from_millis(1);
+    let mut busy = BurstBackoff::new();
     let mut acks_since_delta = 0usize;
     let mut delta_due = false;
 
     loop {
+        if in_flight.is_empty() {
+            if let Some(pause) = busy.end_burst(&mut pending) {
+                // Let the shard lanes drain before refilling the window.
+                std::thread::sleep(pause);
+            }
+        }
         // Fill the window: a due delta query slots in before the next
         // ingest frame (cuts are taken mid-stream, not just at the end).
-        while in_flight.len() < window {
+        while in_flight.len() < window && !busy.holding() {
             let request = if delta_due {
                 delta_due = false;
                 InFlight::Delta
@@ -323,7 +381,7 @@ fn run_connection_pipelined(
                 }
                 latency.record(start.elapsed().as_micros() as u64);
                 acked.push(idx);
-                backoff = Duration::from_millis(1);
+                busy.ack();
                 if with_deltas {
                     acks_since_delta += 1;
                     if acks_since_delta >= DELTA_EVERY {
@@ -334,10 +392,7 @@ fn run_connection_pipelined(
             }
             (InFlight::Ingest(idx), Frame::Busy) => {
                 retries += 1;
-                pending.push_front(idx);
-                // Let the shard lanes drain before refilling the window.
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(100));
+                busy.refuse(idx);
             }
             (InFlight::Delta, Frame::DeltaReply(d)) => deltas.absorb(&d),
             (_, Frame::Error { code, message }) => {
@@ -694,5 +749,41 @@ fn main() -> ExitCode {
             eprintln!("serve-load: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_refused_burst_pauses_once_and_resends_in_order() {
+        let mut busy = BurstBackoff::new();
+        let mut pending: VecDeque<usize> = (8..12).collect();
+        assert_eq!(busy.end_burst(&mut pending), None, "no burst, no pause");
+        // A window of eight frames, all refused.
+        for idx in 0..8 {
+            busy.refuse(idx);
+        }
+        assert!(busy.holding());
+        assert_eq!(busy.end_burst(&mut pending), Some(Duration::from_millis(1)));
+        assert!(!busy.holding());
+        assert_eq!(pending, (0..12).collect::<VecDeque<_>>());
+    }
+
+    #[test]
+    fn the_pause_doubles_per_burst_up_to_its_cap_and_resets_on_ack() {
+        let mut busy = BurstBackoff::new();
+        let mut pending = VecDeque::new();
+        let mut pauses = Vec::new();
+        for _ in 0..9 {
+            busy.refuse(0);
+            busy.refuse(1);
+            pauses.push(busy.end_burst(&mut pending).unwrap().as_millis());
+        }
+        assert_eq!(pauses, [1, 2, 4, 8, 16, 32, 64, 100, 100]);
+        busy.ack();
+        busy.refuse(0);
+        assert_eq!(busy.end_burst(&mut pending), Some(Duration::from_millis(1)));
     }
 }
