@@ -9,8 +9,10 @@
 #      exploration of the runtime primitives, plus the mutation gate
 #      (the checker must still CATCH an injected lost notify_one)
 #   6. tier-1 build + test suite
-#   7. determinism gate: the parallel pipeline must be byte-identical
-#      to the serial runner
+#   7. determinism gate: `reproduce all --quick` must print
+#      byte-identical stdout at --jobs 1 and --jobs 4 (one pool thread
+#      vs. up to four, one per core; a visible SKIP on a 1-core host,
+#      where both runs get the same single thread)
 #   8. engine differential gate: the unified AnalysisEngine fed
 #      incrementally in interleaved chunks (with snapshots between
 #      chunks) must digest byte-identically to one batch feed
@@ -27,8 +29,8 @@
 #      against a fresh server, the median ratio of pipelined
 #      (--window 8) to single-in-flight throughput must not fall below
 #      1.0 (0.8 on one core)
-#  12. perf smoke gate: the parallel pipeline must not be slower than
-#      the serial runner (reduced sample count via
+#  12. perf smoke gate: the pipeline at 4 workers must not be slower
+#      than at 1 worker (reduced sample count via
 #      TEMPSTREAM_BENCH_SAMPLES), plus the serve ingest bench emitting
 #      BENCH_serve.json (pipelined 1/2/4-shard runs and the
 #      multi-connection scaling pair, gated core-aware)
@@ -62,7 +64,8 @@ cargo run -q -p tempstream-checker --bin check-protocols
 
 echo "== schedule model check =="
 # Exhaustive bounded-preemption DFS + seeded random sweeps over the
-# closed models of channel/deque/pool/spill; any counterexample prints
+# closed models of the runtime's deque and pool and the server's
+# routing lanes and reply queue; any counterexample prints
 # a minimal replayable schedule. The time box degrades the random
 # sweeps, never the exhaustive 2-thread proofs.
 cargo run -q --release -p tempstream-schedcheck --bin check-schedules -- --budget-secs 120
@@ -95,10 +98,16 @@ start_server() {
     sleep 0.1
   done
 }
-./target/release/reproduce all --quick --jobs 1 >"$det_dir/jobs1.out" 2>/dev/null
-./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
-diff "$det_dir/jobs1.out" "$det_dir/jobs4.out" \
-  || { echo "determinism gate FAILED: --jobs 4 output differs from --jobs 1"; exit 1; }
+# The pool clamps workers to the host's cores, so on one core both runs
+# get the same single thread and the diff could not fail: skip visibly.
+if [ "$(nproc 2>/dev/null || echo 1)" -le 1 ]; then
+  echo "determinism gate: SKIP (1 core: --jobs 1 and --jobs 4 both run one pool thread)"
+else
+  ./target/release/reproduce all --quick --jobs 1 >"$det_dir/jobs1.out" 2>/dev/null
+  ./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
+  diff "$det_dir/jobs1.out" "$det_dir/jobs4.out" \
+    || { echo "determinism gate FAILED: --jobs 4 output differs from --jobs 1"; exit 1; }
+fi
 
 echo "== engine differential gate: incremental vs batch =="
 # The unified AnalysisEngine (core::engine) fed in K interleaved chunks
@@ -229,23 +238,23 @@ awk -v r="$ratio" -v f="$rps_factor" 'BEGIN { exit !(r >= f) }' \
   || { echo "serve throughput FAILED: median window=8/window=1 throughput ratio $ratio < $rps_factor (pairs:$ratios; cores: $cores)"; exit 1; }
 echo "serve throughput: median window=8/window=1 throughput ratio $ratio over pairs$ratios (factor $rps_factor, cores: $cores)"
 
-echo "== perf smoke: parallel/4w vs serial =="
+echo "== perf smoke: parallel/4w vs parallel/1w =="
 # Three samples keep this a smoke test, not a benchmark: it exists to
-# catch the parallel path regressing back to slower-than-serial, not to
-# measure speedup precisely.
+# catch more workers making the pipeline slower, not to measure speedup
+# precisely.
 TEMPSTREAM_BENCH_SAMPLES=3 TEMPSTREAM_BENCH_DIR="$det_dir" \
   cargo bench -q -p tempstream-bench --bench runtime_scaling >/dev/null
-speedup=$(jq -r '.results[] | select(.name == "parallel/4w") | .speedup_vs_serial' \
+speedup=$(jq -r '.results[] | select(.name == "parallel/4w") | .["speedup_vs_parallel/1w"]' \
   "$det_dir/BENCH_runtime_scaling.json")
 cores=$(nproc 2>/dev/null || echo 1)
-# With a single CPU, four workers cannot beat serial — physically. The
-# gate then only demands the parallel path stays within 15% of serial
-# (i.e. the scheduling machinery costs little when it cannot help).
-# On multi-core hosts the parallel path must actually win.
+# With a single CPU, the pool clamps four workers to one thread and
+# cannot beat one worker — physically. The gate then only demands the
+# two stay within 15% of each other. On multi-core hosts the extra
+# workers must actually win.
 threshold=$([ "$cores" -le 1 ] && echo 0.85 || echo 1.0)
 awk -v s="$speedup" -v t="$threshold" 'BEGIN { exit !(s >= t) }' \
   || { echo "perf smoke FAILED: parallel/4w speedup $speedup < $threshold (cores: $cores)"; exit 1; }
-echo "parallel/4w speedup vs serial: $speedup (threshold $threshold, cores: $cores)"
+echo "parallel/4w speedup vs parallel/1w: $speedup (threshold $threshold, cores: $cores)"
 
 # Serve ingest throughput: pipelined single-connection runs at 1/2/4
 # shards plus the multi-connection pair (ingest-mc/{1,4}shard) that

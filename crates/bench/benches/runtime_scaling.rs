@@ -1,10 +1,10 @@
-//! Parallel-pipeline scaling: the quick-configuration reproduction run
-//! at 1, 2, and 4 worker threads, plus the serial runner as the
-//! baseline the speedup is measured against.
+//! Pipeline scaling: the quick-configuration reproduction run at 1, 2,
+//! and 4 worker threads, with one worker as the baseline the speedup is
+//! measured against. The pool clamps workers to the host's cores.
 
 use std::hint::black_box;
 use tempstream_bench::harness::{criterion_group, criterion_main, Criterion};
-use tempstream_core::{Experiment, ExperimentConfig};
+use tempstream_core::ExperimentConfig;
 use tempstream_runtime::{run_workloads, RuntimeConfig};
 use tempstream_workloads::Workload;
 
@@ -13,15 +13,7 @@ const WORKLOADS: [Workload; 3] = [Workload::Apache, Workload::Oltp, Workload::Ds
 fn runtime_scaling(c: &mut Criterion) {
     let cfg = ExperimentConfig::quick();
     let mut g = c.benchmark_group("runtime_scaling");
-    g.sample_size(10).baseline("serial");
-
-    g.bench_function("serial", |b| {
-        b.iter(|| {
-            let exp = Experiment::new(cfg);
-            let results: Vec<_> = WORKLOADS.iter().map(|&w| exp.run_workload(w)).collect();
-            black_box(results.len())
-        });
-    });
+    g.sample_size(10).baseline("parallel/1w");
 
     for workers in [1usize, 2, 4] {
         g.bench_function(format!("parallel/{workers}w"), |b| {

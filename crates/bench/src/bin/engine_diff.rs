@@ -7,7 +7,7 @@
 //! `--chunks 1` (one batch feed) and `--chunks 2` / `--chunks 7`
 //! (incremental feeds) and byte-diffs the outputs: any divergence
 //! between incremental-interleaved and batch feeding fails CI, the
-//! same shape as the serial/parallel determinism gate. Each digest
+//! same shape as the `--jobs 1` vs `--jobs 4` determinism gate. Each digest
 //! also cross-checks the engine's two root walks: the joint breakdown
 //! (labelled walk) must split exactly the misses the stream counts
 //! (counts-only walk) call repetitive and non-repetitive.

@@ -7,22 +7,22 @@
 //!
 //! `--quick` runs reduced systems and smoke-scale workloads (seconds);
 //! the default runs the paper configuration (16-node DSM + 4-core CMP,
-//! 64 KB L1 / 8 MB L2) at full measurement scale. `--jobs N` runs the
-//! pipeline on N worker threads via `tempstream-runtime` (default: the
-//! host's available parallelism); results are bit-identical to
-//! `--jobs 1`, and the per-stage summary goes to stderr so stdout can
-//! be diffed across job counts. `--metrics-json PATH` additionally
-//! writes the run's observability registry (stage spans, simulator
-//! miss-class counters, SEQUITUR grammar stats) as JSON to PATH —
-//! stdout stays byte-identical with or without the flag.
+//! 64 KB L1 / 8 MB L2) at full measurement scale. Every command that
+//! needs results runs its workloads as one batch through
+//! `tempstream_runtime::run_workloads`; `--jobs N` sets its worker
+//! threads (default: the host's available parallelism). Results are
+//! bit-identical at any `--jobs`, and the per-stage summary goes to
+//! stderr so stdout can be diffed across job counts. `--metrics-json
+//! PATH` additionally writes the run's observability registry (stage
+//! spans, simulator miss-class counters, SEQUITUR grammar stats) as
+//! JSON to PATH — stdout stays byte-identical with or without the flag.
 
 use std::collections::HashMap;
-use std::time::Instant;
-use tempstream_core::experiment::{Experiment, ExperimentConfig, WorkloadResults};
+use tempstream_core::experiment::{ExperimentConfig, WorkloadResults};
 use tempstream_core::functions::format_function_table;
 use tempstream_core::report::{format_length_cdf, format_origin_table, format_reuse_pdf};
 use tempstream_obsv::{frac, json::Json};
-use tempstream_runtime::{RunSummary, RuntimeConfig};
+use tempstream_runtime::{run_workloads, RunSummary, RuntimeConfig};
 use tempstream_trace::{IntraChipClass, MissCategory, MissClass};
 use tempstream_workloads::{spec, Workload};
 
@@ -85,8 +85,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// The workloads a command touches through the [`Runner`] cache, for
-/// parallel prefetching. `None` means the command runs no workloads (or
+/// The workloads a command touches through the [`Runner`] cache, run
+/// up front as one batch. `None` means the command runs no workloads (or
 /// manages its own, like `spatial` and `stability`).
 fn workload_set(cmd: &str) -> Option<Vec<Workload>> {
     match cmd {
@@ -124,10 +124,8 @@ fn main() {
     }
 
     let mut runner = Runner::new(cfg, opts.jobs);
-    if opts.jobs > 1 {
-        if let Some(set) = workload_set(&opts.cmd) {
-            runner.prefetch(&set);
-        }
+    if let Some(set) = workload_set(&opts.cmd) {
+        runner.prefetch(&set);
     }
     match opts.cmd.as_str() {
         "table1" => print_table1(),
@@ -142,7 +140,7 @@ fn main() {
         "stats" => print_stats(&mut runner),
         "functions" => print_functions(&mut runner),
         "spatial" => print_spatial(&cfg),
-        "stability" => print_stability(&cfg),
+        "stability" => print_stability(&cfg, opts.jobs),
         "all" => {
             print_table1();
             print_table2();
@@ -174,8 +172,8 @@ fn main() {
     }
 }
 
-/// Serializes the global observability registry (plus run metadata and,
-/// for parallel runs, the pipeline summary) to `path`.
+/// Serializes the global observability registry (plus run metadata and
+/// the last pipeline summary, if any workloads ran) to `path`.
 fn write_metrics_json(
     path: &str,
     opts: &Options,
@@ -213,9 +211,6 @@ fn write_metrics_json(
                 Json::UInt(s.max_injector_depth as u64),
             );
             r.set("max_deque_depth", Json::UInt(s.max_deque_depth as u64));
-            r.set("max_channel_depth", Json::UInt(s.max_channel_depth as u64));
-            r.set("spilled_traces", Json::UInt(s.spilled_traces as u64));
-            r.set("spilled_bytes", Json::UInt(s.spilled_bytes));
             r
         }),
     );
@@ -225,7 +220,6 @@ fn write_metrics_json(
 /// Caches per-workload results so `all` runs each workload once.
 struct Runner {
     cfg: ExperimentConfig,
-    experiment: Experiment,
     jobs: usize,
     cache: HashMap<Workload, WorkloadResults>,
     last_summary: Option<RunSummary>,
@@ -235,15 +229,14 @@ impl Runner {
     fn new(cfg: ExperimentConfig, jobs: usize) -> Self {
         Runner {
             cfg,
-            experiment: Experiment::new(cfg),
             jobs,
             cache: HashMap::new(),
             last_summary: None,
         }
     }
 
-    /// Runs every uncached workload in `workloads` through the parallel
-    /// pipeline in one batch, so independent workloads overlap.
+    /// Runs every uncached workload in `workloads` through the pipeline
+    /// in one batch, so independent workloads overlap.
     fn prefetch(&mut self, workloads: &[Workload]) {
         let missing: Vec<Workload> = workloads
             .iter()
@@ -258,11 +251,8 @@ impl Runner {
             missing.len(),
             self.jobs
         );
-        let (results, summary) = tempstream_runtime::run_workloads(
-            &self.cfg,
-            RuntimeConfig::with_workers(self.jobs),
-            &missing,
-        );
+        let (results, summary) =
+            run_workloads(&self.cfg, RuntimeConfig::with_workers(self.jobs), &missing);
         for r in results {
             eprintln!(
                 "[reproduce] {}: mc={} sc={} intra={} misses",
@@ -278,23 +268,7 @@ impl Runner {
     }
 
     fn results(&mut self, w: Workload) -> &WorkloadResults {
-        if !self.cache.contains_key(&w) {
-            if self.jobs > 1 {
-                self.prefetch(&[w]);
-            } else {
-                let t = Instant::now();
-                eprintln!("[reproduce] running {w} ...");
-                let r = self.experiment.run_workload(w);
-                eprintln!(
-                    "[reproduce] {w}: mc={} sc={} intra={} misses in {:.1}s",
-                    r.multi_chip.total_misses,
-                    r.single_chip.total_misses,
-                    r.intra_chip.total_misses,
-                    t.elapsed().as_secs_f64()
-                );
-                self.cache.insert(w, r);
-            }
-        }
+        self.prefetch(&[w]);
         &self.cache[&w]
     }
 }
@@ -475,20 +449,26 @@ fn print_spatial(cfg: &ExperimentConfig) {
 }
 
 /// Seed-stability check: headline metrics across three seeds.
-fn print_stability(cfg: &ExperimentConfig) {
+fn print_stability(cfg: &ExperimentConfig, jobs: usize) {
+    let runs: Vec<Vec<WorkloadResults>> = [1u64, 0xBEEF, 0x715C_2008]
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            eprintln!("[reproduce] stability seed {i} ...");
+            let rt = RuntimeConfig::with_workers(jobs);
+            run_workloads(&cfg.with_seed(seed), rt, &Workload::ALL).0
+        })
+        .collect();
     rule("Seed stability: multi-chip stream fraction across seeds");
     println!(
         "{:<8} {:>10} {:>10} {:>10} {:>8}",
         "workload", "seed A", "seed B", "seed C", "spread"
     );
-    for w in Workload::ALL {
-        let mut fractions = Vec::new();
-        for (i, seed) in [1u64, 0xBEEF, 0x715C_2008].iter().enumerate() {
-            let exp = Experiment::new(cfg.with_seed(*seed));
-            eprintln!("[reproduce] stability {w} seed {i}...");
-            let r = exp.run_workload(w);
-            fractions.push(r.multi_chip.streams.stream_fraction.in_streams());
-        }
+    for (i, w) in Workload::ALL.into_iter().enumerate() {
+        let fractions: Vec<f64> = runs
+            .iter()
+            .map(|run| run[i].multi_chip.streams.stream_fraction.in_streams())
+            .collect();
         let max = fractions.iter().copied().fold(f64::MIN, f64::max);
         let min = fractions.iter().copied().fold(f64::MAX, f64::min);
         println!(

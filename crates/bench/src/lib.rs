@@ -2,13 +2,7 @@
 
 pub mod harness;
 
-use tempstream_core::experiment::{Experiment, ExperimentConfig, WorkloadResults};
 use tempstream_workloads::Workload;
-
-/// Runs one workload at the given configuration.
-pub fn run_one(cfg: ExperimentConfig, w: Workload) -> WorkloadResults {
-    Experiment::new(cfg).run_workload(w)
-}
 
 /// Formats a fraction as a percent string.
 pub fn pct(x: f64) -> String {

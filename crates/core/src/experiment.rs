@@ -1,17 +1,17 @@
-//! End-to-end experiment runner: workload × system context → the paper's
-//! full characterization.
+//! Experiment configuration and the result types of the paper's full
+//! characterization: workload × system context.
 //!
-//! For each workload the runner builds two independent simulations (the
-//! 16-node multi-chip system and the 4-core single-chip system), warms
-//! them without recording (the paper warms for thousands of transactions
-//! before tracing), records the measured phase, and runs the stream,
-//! stride, distribution, and origin analyses over the three resulting
-//! traces (multi-chip off-chip, single-chip off-chip, intra-chip).
+//! For each workload the pipeline builds two independent simulations
+//! (the 16-node multi-chip system and the 4-core single-chip system),
+//! warms them without recording (the paper warms for thousands of
+//! transactions before tracing), records the measured phase, and runs
+//! the stream, stride, distribution, and origin analyses over the three
+//! resulting traces (multi-chip off-chip, single-chip off-chip,
+//! intra-chip).
 //!
-//! The runner itself is a thin serial composition of the pure stage
-//! functions in [`crate::stages`]; the `tempstream-runtime` crate
-//! composes the same stages into a parallel job DAG and is required to
-//! produce bit-identical results.
+//! The stages themselves are the pure functions in [`crate::stages`];
+//! `tempstream_runtime::run_workloads` composes them into a job DAG and
+//! assembles a [`WorkloadResults`] per workload.
 
 use crate::distribution::{LengthCdf, ReuseDistancePdf};
 use crate::functions::FunctionTable;
@@ -19,9 +19,7 @@ use crate::origins::OriginTable;
 use crate::report::{
     IntraClassBreakdown, MissClassBreakdown, StreamFractionReport, StrideJointReport,
 };
-use crate::stages;
 use tempstream_coherence::{MultiChipConfig, SingleChipConfig};
-use tempstream_trace::{MissTrace, SymbolTable};
 use tempstream_workloads::{Scale, Workload};
 
 /// Experiment parameters.
@@ -36,9 +34,7 @@ pub struct ExperimentConfig {
     /// Overrides each workload's default scale when set.
     pub scale_override: Option<Scale>,
     /// Cap on the misses fed to the SEQUITUR analysis (memory bound);
-    /// class breakdowns always use the full trace. The parallel
-    /// executor also spills traces larger than this to disk between the
-    /// simulate and analyze stages.
+    /// class breakdowns always use the full trace.
     pub max_analysis_misses: usize,
 }
 
@@ -136,97 +132,4 @@ pub struct WorkloadResults {
     pub single_chip: OffChipResults,
     /// On-chip-satisfied L1 misses of the CMP.
     pub intra_chip: IntraChipResults,
-}
-
-/// The serial experiment runner.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    config: ExperimentConfig,
-}
-
-impl Experiment {
-    /// Creates a runner.
-    pub fn new(config: ExperimentConfig) -> Self {
-        Experiment { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
-    /// Runs one workload through both systems and analyzes all three
-    /// contexts.
-    pub fn run_workload(&self, workload: Workload) -> WorkloadResults {
-        stages::run_workload_serial(&self.config, workload)
-    }
-
-    /// Runs every workload.
-    pub fn run_all(&self) -> Vec<WorkloadResults> {
-        Workload::ALL
-            .iter()
-            .map(|&w| self.run_workload(w))
-            .collect()
-    }
-
-    /// Collects the multi-chip trace for one workload (used by the
-    /// spatial-analysis command; analyses normally go through
-    /// [`Experiment::run_workload`]).
-    pub fn collect_multi_chip(
-        &self,
-        workload: Workload,
-    ) -> (MissTrace<tempstream_trace::MissClass>, SymbolTable) {
-        stages::collect_multi_chip(&self.config, workload)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_experiment_produces_all_contexts() {
-        let r = Experiment::new(ExperimentConfig::quick()).run_workload(Workload::Apache);
-        assert!(r.multi_chip.total_misses > 0, "multi-chip trace empty");
-        assert!(r.single_chip.total_misses > 0, "single-chip trace empty");
-        assert!(r.intra_chip.total_misses > 0, "intra-chip trace empty");
-        // Intra-chip misses include all off-chip L1 misses, so there are
-        // at least as many.
-        assert!(r.intra_chip.total_misses >= r.single_chip.total_misses);
-        // Labels and counts are internally consistent.
-        assert_eq!(
-            r.multi_chip.streams.stream_fraction.total() as usize,
-            r.multi_chip.streams.analyzed_misses
-        );
-    }
-
-    #[test]
-    fn determinism_across_runs() {
-        let cfg = ExperimentConfig::quick();
-        let a = Experiment::new(cfg).run_workload(Workload::Oltp);
-        let b = Experiment::new(cfg).run_workload(Workload::Oltp);
-        assert_eq!(a.multi_chip.total_misses, b.multi_chip.total_misses);
-        assert_eq!(
-            a.multi_chip.streams.stream_fraction.recurring_stream,
-            b.multi_chip.streams.stream_fraction.recurring_stream
-        );
-        assert_eq!(a.intra_chip.total_misses, b.intra_chip.total_misses);
-    }
-
-    #[test]
-    fn analysis_cap_is_respected() {
-        let mut cfg = ExperimentConfig::quick();
-        cfg.max_analysis_misses = 100;
-        let r = Experiment::new(cfg).run_workload(Workload::DssQ1);
-        assert!(r.multi_chip.streams.analyzed_misses <= 100);
-        assert!(r.multi_chip.total_misses >= r.multi_chip.streams.analyzed_misses);
-    }
-
-    #[test]
-    fn origin_tables_cover_all_misses() {
-        let r = Experiment::new(ExperimentConfig::quick()).run_workload(Workload::Zeus);
-        let t = &r.multi_chip.streams.origins;
-        let sum: u64 = t.rows.iter().map(|row| row.misses).sum();
-        assert_eq!(sum, t.total_misses);
-    }
 }

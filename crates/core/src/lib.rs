@@ -20,10 +20,11 @@
 //!   companion phenomenon the intro contrasts streams with;
 //! - [`report`] — typed report structures with `Display` impls that print
 //!   the paper's figures and tables;
-//! - [`experiment`] — the end-to-end runner: workload × system context →
-//!   full characterization;
-//! - [`stages`] — the pure emit/simulate/analyze stage functions behind
-//!   the runner, shared with the parallel `tempstream-runtime` executor;
+//! - [`experiment`] — the experiment configuration and the result types
+//!   of the full characterization (workload × system context);
+//! - [`stages`] — the pure emit/simulate/analyze stage functions that
+//!   the `tempstream-runtime` executor composes into that
+//!   characterization;
 //! - [`engine`] — the unified incremental [`AnalysisEngine`] all of the
 //!   above analyze on: the batch stages feed it all-then-snapshot, the
 //!   online server (`tempstream-serve`) feeds it record by record, and
@@ -32,12 +33,14 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use tempstream_core::experiment::{Experiment, ExperimentConfig};
+//! use tempstream_core::ExperimentConfig;
+//! use tempstream_runtime::{run_workloads, RuntimeConfig};
 //! use tempstream_workloads::Workload;
 //!
 //! let cfg = ExperimentConfig::quick();
-//! let results = Experiment::new(cfg).run_workload(Workload::Apache);
-//! println!("{}", results.multi_chip.streams.stream_fraction);
+//! let rt = RuntimeConfig::with_workers(2);
+//! let (results, _summary) = run_workloads(&cfg, rt, &[Workload::Apache]);
+//! println!("{}", results[0].multi_chip.streams.stream_fraction);
 //! ```
 
 pub mod distribution;
@@ -52,6 +55,6 @@ pub mod streams;
 pub mod stride;
 
 pub use engine::AnalysisEngine;
-pub use experiment::{Experiment, ExperimentConfig, WorkloadResults};
+pub use experiment::{ExperimentConfig, WorkloadResults};
 pub use streams::{StreamAnalysis, StreamLabel};
 pub use stride::StrideDetector;

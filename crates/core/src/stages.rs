@@ -10,26 +10,22 @@
 //!    stream, stride, origin, and function reports.
 //!
 //! Every function here is deterministic in its inputs and holds no
-//! hidden state, so the serial [`Experiment`](crate::Experiment) runner
-//! and the parallel `tempstream-runtime` executor both compose the same
-//! stages — which is what makes the parallel results bit-identical to
-//! the serial ones regardless of worker count or scheduling order.
+//! hidden state. `tempstream_runtime::run_workloads` composes them into
+//! a job DAG — the only composition of the full characterization — and
+//! its results are bit-identical at any worker count because each stage
+//! is.
 //!
 //! The emit and simulate stages communicate only through the
-//! [`PhasedSink`] trait: the serial path hands the session a simulator
-//! directly, while the runtime hands it a bounded-channel sink feeding a
-//! simulator on another worker. Both observe the identical access
-//! sequence with the identical warmup/measurement boundary.
+//! [`PhasedSink`] trait: `collect_*` hands the workload session a
+//! simulator directly, so emit runs fused into the simulate stage, and
+//! the simulator flips its recording flag at the warmup/measurement
+//! boundary.
 
 use crate::distribution::{LengthCdf, ReuseDistancePdf};
-use crate::experiment::{
-    ExperimentConfig, IntraChipResults, OffChipResults, StreamResults, WorkloadResults,
-};
+use crate::experiment::{ExperimentConfig, StreamResults};
 use crate::functions::FunctionTable;
 use crate::origins::OriginTable;
-use crate::report::{
-    IntraClassBreakdown, MissClassBreakdown, StreamFractionReport, StrideJointReport,
-};
+use crate::report::{StreamFractionReport, StrideJointReport};
 use crate::streams::{StreamAnalysis, StreamLabel};
 use crate::stride::StrideDetector;
 use std::sync::Arc;
@@ -37,14 +33,13 @@ use tempstream_coherence::single_chip::SingleChipTraces;
 use tempstream_coherence::{MultiChipSim, SingleChipSim};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::sink::AccessSink;
-use tempstream_trace::{IntraChipClass, MissClass, MissTrace, SymbolTable};
+use tempstream_trace::{MissClass, MissTrace, SymbolTable};
 use tempstream_workloads::{Scale, Workload, WorkloadSession};
 
 /// An access consumer that distinguishes the warmup phase from the
 /// measured phase.
 ///
-/// Simulators flip their recording flag at the boundary; streaming
-/// sinks forward a marker so a downstream simulator can do the same.
+/// Simulators flip their recording flag at the boundary.
 pub trait PhasedSink: AccessSink {
     /// Called once, after warmup accesses and before measured accesses.
     fn begin_measurement(&mut self);
@@ -267,74 +262,6 @@ pub fn analyze_stream_results<C: Copy>(
     let origins = analyze_origins(records, &streams.labels, symbols, workload);
     let functions = analyze_functions(records, &streams.labels, symbols);
     assemble_stream_results(streams, &flags, origins, functions, records.len())
-}
-
-/// Full analyze stage for one off-chip trace: class breakdown over the
-/// whole trace, stream analyses over the capped prefix.
-pub fn analyze_off_chip(
-    trace: &MissTrace<MissClass>,
-    symbols: &SymbolTable,
-    workload: Workload,
-    max_analysis_misses: usize,
-) -> OffChipResults {
-    OffChipResults {
-        breakdown: MissClassBreakdown::of_trace(trace),
-        total_misses: trace.len(),
-        streams: analyze_stream_results(
-            cap(trace.records(), max_analysis_misses),
-            trace.num_cpus(),
-            symbols,
-            workload,
-        ),
-    }
-}
-
-/// Full analyze stage for one intra-chip trace.
-pub fn analyze_intra_chip(
-    trace: &MissTrace<IntraChipClass>,
-    symbols: &SymbolTable,
-    workload: Workload,
-    max_analysis_misses: usize,
-) -> IntraChipResults {
-    IntraChipResults {
-        breakdown: IntraClassBreakdown::of_trace(trace),
-        total_misses: trace.len(),
-        streams: analyze_stream_results(
-            cap(trace.records(), max_analysis_misses),
-            trace.num_cpus(),
-            symbols,
-            workload,
-        ),
-    }
-}
-
-/// Serial composition of every stage for one workload — the reference
-/// the parallel executor must match bit-for-bit.
-pub fn run_workload_serial(cfg: &ExperimentConfig, workload: Workload) -> WorkloadResults {
-    let (mc_trace, mc_symbols) = collect_multi_chip(cfg, workload);
-    let multi_chip = analyze_off_chip(&mc_trace, &mc_symbols, workload, cfg.max_analysis_misses);
-    drop(mc_trace);
-
-    let (sc_traces, sc_symbols) = collect_single_chip(cfg, workload);
-    let single_chip = analyze_off_chip(
-        &sc_traces.off_chip,
-        &sc_symbols,
-        workload,
-        cfg.max_analysis_misses,
-    );
-    let intra_chip = analyze_intra_chip(
-        &sc_traces.intra_chip,
-        &sc_symbols,
-        workload,
-        cfg.max_analysis_misses,
-    );
-
-    WorkloadResults {
-        workload,
-        multi_chip,
-        single_chip,
-        intra_chip,
-    }
 }
 
 #[cfg(test)]

@@ -1,21 +1,14 @@
 //! # tempstream-runtime
 //!
-//! A work-stealing parallel executor for the reproduction pipeline.
-//!
-//! The serial [`Experiment`](tempstream_core::Experiment) runs each
-//! workload's emit → simulate → analyze stages back to back; this crate
-//! runs the same pure stage functions (`tempstream_core::stages`) as a
-//! DAG of typed jobs on a pool of worker threads:
+//! The executor of the reproduction pipeline: it runs the pure stage
+//! functions of `tempstream_core::stages` as a DAG of jobs on a pool of
+//! worker threads, and it is the only code that composes those stages
+//! into the paper's characterization.
 //!
 //! * [`pool`] — the work-stealing thread pool: per-worker deques
 //!   (owner pops LIFO, thieves steal FIFO) plus a shared injector
 //!   queue, built on `std::thread` only.
 //! * [`deque`] — the work-stealing deque the pool is built from.
-//! * [`channel`] — a bounded MPMC channel; the emit→simulate link,
-//!   and the executor's source of backpressure.
-//! * [`spill`] — a spill-to-disk trace store in the `TSMT` binary
-//!   format, so collected traces larger than the analysis cap page out
-//!   of memory between the simulate and analyze stages.
 //! * [`metrics`] — per-stage wall-clock and queue-depth accounting.
 //! * [`pipeline`] — the reproduction DAG itself and its ordinal-keyed
 //!   deterministic reduction.
@@ -25,33 +18,18 @@
 //!   `tempstream-schedcheck` model-check the executor's interleavings.
 //!
 //! The headline guarantee: [`pipeline::run_workloads`] returns results
-//! **bit-identical** to the serial runner for any worker count. See the
-//! [`pipeline`] module docs for the argument.
+//! **bit-identical** at any worker count. See the [`pipeline`] module
+//! docs for the argument.
 
-pub mod channel;
 pub mod deque;
 pub mod metrics;
 pub mod pipeline;
 pub mod pool;
-pub mod spill;
 pub mod sync;
 
 pub use metrics::{RunMetrics, RunSummary, Stage};
-pub use pipeline::{run_all, run_workloads, AnalysisKind, Context, JobSpec, RuntimeConfig};
-pub use spill::{SharedTrace, TraceStore};
+pub use pipeline::{run_workloads, RuntimeConfig};
 
 // The executor moves these across worker threads; keep the bounds
 // checked at compile time (see `tempstream_trace::assert_send_sync!`).
-tempstream_trace::assert_send_sync!(
-    JobSpec,
-    Context,
-    AnalysisKind,
-    RuntimeConfig,
-    RunMetrics,
-    RunSummary,
-    TraceStore,
-    SharedTrace<tempstream_trace::MissClass>,
-    SharedTrace<tempstream_trace::IntraChipClass>,
-    channel::Sender<Vec<tempstream_trace::MemoryAccess>>,
-    channel::Receiver<Vec<tempstream_trace::MemoryAccess>>,
-);
+tempstream_trace::assert_send_sync!(RuntimeConfig, RunMetrics, RunSummary);

@@ -2,22 +2,21 @@
 //!
 //! Every job records its stage and busy time into a shared
 //! [`RunMetrics`] — a thin facade over a per-run
-//! [`tempstream_obsv::Registry`] whose span/gauge handles are atomics,
-//! so the job completion path stays lock-free; at the end of a run the
-//! executor folds in queue high-water marks and spill counters and
-//! renders a [`RunSummary`]. The summary goes to stderr so the
+//! [`tempstream_obsv::Registry`] whose span handles are atomics, so the
+//! job completion path stays lock-free; at the end of a run the
+//! executor folds in queue high-water marks and renders a
+//! [`RunSummary`]. The summary goes to stderr so the
 //! determinism gate can diff stdout byte-for-byte.
 
 use std::fmt;
 use std::time::Duration;
-use tempstream_obsv::{fracf, Gauge, Registry, SpanStat};
+use tempstream_obsv::{fracf, Registry, SpanStat};
 
 /// The pipeline stage a job belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Workload generation (access emission).
-    Emit,
-    /// Memory-system simulation (trace collection).
+    /// Workload emission fused into memory-system simulation (trace
+    /// collection).
     Simulate,
     /// Trace analyses (streams / strides / origins / functions).
     Analyze,
@@ -27,12 +26,11 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 4] = [Stage::Emit, Stage::Simulate, Stage::Analyze, Stage::Reduce];
+    pub const ALL: [Stage; 3] = [Stage::Simulate, Stage::Analyze, Stage::Reduce];
 
     /// Display label.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Emit => "emit",
             Stage::Simulate => "simulate",
             Stage::Analyze => "analyze",
             Stage::Reduce => "reduce",
@@ -40,26 +38,19 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        match self {
-            Stage::Emit => 0,
-            Stage::Simulate => 1,
-            Stage::Analyze => 2,
-            Stage::Reduce => 3,
-        }
+        self as usize
     }
 }
 
 /// Shared metric sinks for one pipeline run.
 ///
 /// Internally a private [`Registry`] with one span per stage (keyed
-/// `stage/<name>`) and a `channel_depth/max` gauge — per-run so
-/// concurrent pipelines never mix counters, and snapshot-able for the
-/// metrics JSON export.
+/// `stage/<name>`) — per-run so concurrent pipelines never mix
+/// counters, and snapshot-able for the metrics JSON export.
 #[derive(Debug)]
 pub struct RunMetrics {
     registry: Registry,
-    stages: [SpanStat; 4],
-    max_channel_depth: Gauge,
+    stages: [SpanStat; 3],
 }
 
 impl Default for RunMetrics {
@@ -73,12 +64,7 @@ impl RunMetrics {
     pub fn new() -> Self {
         let registry = Registry::new();
         let stages = Stage::ALL.map(|s| registry.span(&format!("stage/{}", s.name())));
-        let max_channel_depth = registry.gauge("channel_depth/max");
-        RunMetrics {
-            registry,
-            stages,
-            max_channel_depth,
-        }
+        RunMetrics { registry, stages }
     }
 
     /// The per-run registry backing the stage spans; snapshot it for
@@ -90,12 +76,6 @@ impl RunMetrics {
     /// Records one finished job of `stage` that ran for `busy`.
     pub fn record(&self, stage: Stage, busy: Duration) {
         self.stages[stage.index()].record(busy);
-    }
-
-    /// Folds one emit→simulate channel's depth high-water mark into the
-    /// run-wide maximum.
-    pub fn note_channel_depth(&self, depth: usize) {
-        self.max_channel_depth.set_max(depth as u64);
     }
 
     /// Runs `f` and records its wall time against `stage`.
@@ -113,8 +93,6 @@ impl RunMetrics {
         wall: Duration,
         max_injector_depth: usize,
         max_deque_depth: usize,
-        spilled_traces: usize,
-        spilled_bytes: u64,
     ) -> RunSummary {
         let stages = Stage::ALL.map(|s| {
             let span = &self.stages[s.index()];
@@ -131,9 +109,6 @@ impl RunMetrics {
             stages,
             max_injector_depth,
             max_deque_depth,
-            max_channel_depth: self.max_channel_depth.get() as usize,
-            spilled_traces,
-            spilled_bytes,
         }
     }
 }
@@ -160,17 +135,11 @@ pub struct RunSummary {
     /// End-to-end wall-clock time of the run.
     pub wall: Duration,
     /// Per-stage aggregates, in pipeline order.
-    pub stages: [StageSummary; 4],
+    pub stages: [StageSummary; 3],
     /// Injector-queue depth high-water mark.
     pub max_injector_depth: usize,
     /// Worker-deque depth high-water mark.
     pub max_deque_depth: usize,
-    /// Emit→simulate channel depth high-water mark (in batches).
-    pub max_channel_depth: usize,
-    /// Traces paged out to disk.
-    pub spilled_traces: usize,
-    /// Bytes written to spill files.
-    pub spilled_bytes: u64,
 }
 
 impl RunSummary {
@@ -180,8 +149,9 @@ impl RunSummary {
     }
 
     /// Busy-time / (wall × workers): 1.0 means every worker was busy
-    /// for the whole run. Emit time runs on companion threads, so the
-    /// ratio can exceed 1.0.
+    /// for the whole run. Every job runs on a pool worker, so the ratio
+    /// cannot exceed 1.0; `workers` is the requested count, so on a host
+    /// with fewer cores than that the ratio reads low.
     pub fn utilization(&self) -> f64 {
         fracf(
             self.total_busy().as_secs_f64(),
@@ -214,16 +184,10 @@ impl fmt::Display for RunSummary {
                 s.max_job.as_secs_f64()
             )?;
         }
-        writeln!(
-            f,
-            "  queue depth: injector max {}, worker deque max {}, emit channel max {}",
-            self.max_injector_depth, self.max_deque_depth, self.max_channel_depth
-        )?;
         write!(
             f,
-            "  spill store: {} traces, {:.1} MiB",
-            self.spilled_traces,
-            self.spilled_bytes as f64 / (1024.0 * 1024.0)
+            "  queue depth: injector max {}, worker deque max {}",
+            self.max_injector_depth, self.max_deque_depth
         )
     }
 }
@@ -235,19 +199,16 @@ mod tests {
     #[test]
     fn records_accumulate_per_stage() {
         let m = RunMetrics::new();
-        m.record(Stage::Emit, Duration::from_millis(5));
-        m.record(Stage::Emit, Duration::from_millis(7));
-        m.record(Stage::Analyze, Duration::from_millis(11));
-        m.note_channel_depth(3);
-        m.note_channel_depth(2);
-        let s = m.summarize(4, Duration::from_millis(20), 9, 5, 1, 2048);
+        m.record(Stage::Simulate, Duration::from_millis(5));
+        m.record(Stage::Simulate, Duration::from_millis(7));
+        m.record(Stage::Reduce, Duration::from_millis(11));
+        let s = m.summarize(4, Duration::from_millis(20), 9, 5);
         assert_eq!(s.stages[0].jobs, 2);
         assert_eq!(s.stages[0].busy, Duration::from_millis(12));
         assert_eq!(s.stages[0].max_job, Duration::from_millis(7));
         assert_eq!(s.stages[2].jobs, 1);
         assert_eq!(s.stages[1].jobs, 0);
-        assert_eq!(s.max_channel_depth, 3);
-        assert_eq!(s.spilled_traces, 1);
+        assert_eq!((s.max_injector_depth, s.max_deque_depth), (9, 5));
         assert!(s.utilization() > 0.0);
     }
 
@@ -257,12 +218,10 @@ mod tests {
         m.time(Stage::Reduce, || {
             std::thread::sleep(Duration::from_millis(1));
         });
-        let text = m
-            .summarize(2, Duration::from_millis(2), 0, 0, 0, 0)
-            .to_string();
+        let text = m.summarize(2, Duration::from_millis(2), 0, 0).to_string();
         for stage in Stage::ALL {
             assert!(text.contains(stage.name()), "missing {}", stage.name());
         }
-        assert!(text.contains("spill store"));
+        assert!(text.contains("queue depth"));
     }
 }

@@ -58,12 +58,6 @@ atomic_shim!(
     AtomicUsize,
     usize
 );
-atomic_shim!(
-    /// Shimmed [`std::sync::atomic::AtomicU64`].
-    AtomicU64,
-    AtomicU64,
-    u64
-);
 
 #[cfg(feature = "schedcheck")]
 fn maybe_yield(order: Ordering, label: &'static str) {

@@ -24,15 +24,15 @@
 //!   never double-panic.
 //! * **Relaxed atomics.** Operations with `Ordering::Relaxed` are not
 //!   scheduling points under the model checker. The runtime only uses
-//!   relaxed atomics for monotonic metrics (queue high-water marks,
-//!   spill counters) and ID allocation, never for synchronization, so
+//!   relaxed atomics for monotonic metrics (queue high-water marks)
+//!   and ID allocation, never for synchronization, so
 //!   excluding them keeps the explored state space small without hiding
 //!   real interleavings.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-pub use std::sync::{Arc, OnceLock};
+pub use std::sync::Arc;
 
 #[cfg(feature = "schedcheck")]
 pub mod sched;

@@ -1,8 +1,8 @@
 //! Thread spawning and scoping shims.
 //!
-//! Mirrors the `std::thread` subset the runtime uses: free
-//! [`spawn`], named [`Builder`] spawns, and the [`scope_with`] helper
-//! that replaces direct `std::thread::scope` use (a safe wrapper cannot
+//! Mirrors the `std::thread` subset the runtime uses: free [`spawn`]
+//! and the [`scope_with`] helper that replaces direct
+//! `std::thread::scope` use (a safe wrapper cannot
 //! re-expose std's scope API — `std::thread::Scope` is invariant in its
 //! `'scope` parameter — so the shim offers the narrower "run these
 //! borrowed closures on threads while I run the body" shape the runtime
@@ -11,8 +11,6 @@
 //! still run on real OS threads, but only ever one at a time, with
 //! every handoff chosen by the exploration strategy; joins block in
 //! scheduler space, never in the OS.
-
-use std::io;
 
 pub use std::thread::available_parallelism;
 
@@ -26,77 +24,38 @@ use std::sync::Arc;
 type Slot<T> = Arc<std::sync::Mutex<Option<T>>>;
 
 /// Spawns a new thread running `f`, like [`std::thread::spawn`].
+///
+/// # Panics
+///
+/// Panics if the OS refuses to spawn the thread.
 pub fn spawn<F, T>(f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    Builder::new().spawn(f).expect("failed to spawn thread")
-}
-
-/// Thread factory with a configurable name, like
-/// [`std::thread::Builder`].
-#[derive(Debug, Default)]
-pub struct Builder {
-    name: Option<String>,
-}
-
-impl Builder {
-    /// Creates a builder with no name set.
-    pub fn new() -> Self {
-        Builder::default()
+    #[cfg(feature = "schedcheck")]
+    if let Some(ctx) = sched::current() {
+        let vid = sched::register_thread(&ctx, "thread");
+        let slot: Slot<T> = Arc::new(std::sync::Mutex::new(None));
+        let exec = sched::execution_of(&ctx);
+        let write = Arc::clone(&slot);
+        let real = std::thread::spawn(move || {
+            sched::vthread_main(exec, vid, move || {
+                let v = f();
+                *write
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(v);
+            });
+        });
+        sched::yield_if_active("thread.spawn");
+        return JoinHandle(HandleInner::Virtual {
+            ctx,
+            vid,
+            slot,
+            real,
+        });
     }
-
-    /// Names the thread-to-be.
-    #[must_use]
-    pub fn name(mut self, name: String) -> Self {
-        self.name = Some(name);
-        self
-    }
-
-    /// Spawns a new thread running `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from the underlying OS thread spawn.
-    pub fn spawn<F, T>(self, f: F) -> io::Result<JoinHandle<T>>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        #[cfg(feature = "schedcheck")]
-        if let Some(ctx) = sched::current() {
-            let label = self.name.clone().unwrap_or_else(|| "thread".to_string());
-            let vid = sched::register_thread(&ctx, &label);
-            let slot: Slot<T> = Arc::new(std::sync::Mutex::new(None));
-            let exec = sched::execution_of(&ctx);
-            let write = Arc::clone(&slot);
-            let mut b = std::thread::Builder::new();
-            if let Some(n) = self.name {
-                b = b.name(n);
-            }
-            let real = b.spawn(move || {
-                sched::vthread_main(exec, vid, move || {
-                    let v = f();
-                    *write
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(v);
-                });
-            })?;
-            sched::yield_if_active("thread.spawn");
-            return Ok(JoinHandle(HandleInner::Virtual {
-                ctx,
-                vid,
-                slot,
-                real,
-            }));
-        }
-        let mut b = std::thread::Builder::new();
-        if let Some(n) = self.name {
-            b = b.name(n);
-        }
-        Ok(JoinHandle(HandleInner::Std(b.spawn(f)?)))
-    }
+    JoinHandle(HandleInner::Std(std::thread::spawn(f)))
 }
 
 enum HandleInner<T> {

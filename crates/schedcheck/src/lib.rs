@@ -3,15 +3,16 @@
 //! Schedule-exploring model checks for `tempstream-runtime`'s
 //! synchronization primitives.
 //!
-//! The runtime's channel, work-stealing deque, pool, and spill store
-//! are all built on the [`tempstream_runtime::sync`] shim. Compiled
-//! with the `schedcheck` feature (as this crate always does), the shim
-//! can hand every interleaving decision — who acquires a contended
-//! mutex, which `notify_one` waiter wakes, which runnable thread runs
-//! next — to the cooperative scheduler in
-//! [`tempstream_runtime::sync::sched`]. This crate defines small closed
-//! **models** (2–4 thread programs exercising one primitive with full
-//! correctness assertions) and drives them through:
+//! The runtime's work-stealing deque and pool, and the server's
+//! routing lanes and reply queues, are all built on the
+//! [`tempstream_runtime::sync`] shim. Compiled with the `schedcheck`
+//! feature (as this crate always does), the shim can hand every
+//! interleaving decision — who acquires a contended mutex, which
+//! `notify_one` waiter wakes, which runnable thread runs next — to the
+//! cooperative scheduler in [`tempstream_runtime::sync::sched`]. This
+//! crate defines small closed **models** (2–3 thread programs
+//! exercising one primitive with full correctness assertions) and
+//! drives them through:
 //!
 //! * exhaustive bounded-preemption DFS ([`sched::explore_dfs`]) for the
 //!   2-thread configurations, and
@@ -87,39 +88,10 @@ fn random(runs: usize) -> RandomOptions {
 /// Every model in the suite, in check order.
 ///
 /// 2-thread models run exhaustively at preemption bound 2; the wider
-/// (3-thread) and I/O-heavy (spill) models run exhaustively at bound 1
-/// plus a seeded random sweep, which keeps a full suite run inside a CI
-/// time box.
+/// (3-thread) models run exhaustively at bound 1 plus a seeded random
+/// sweep, which keeps a full suite run inside a CI time box.
 pub fn all_models() -> Vec<ModelSpec> {
     vec![
-        ModelSpec {
-            name: "channel_spsc_close",
-            threads: 2,
-            dfs: dfs(2),
-            random: random(64),
-            model: models::channel_spsc_close,
-        },
-        ModelSpec {
-            name: "channel_receiver_drop",
-            threads: 2,
-            dfs: dfs(2),
-            random: random(64),
-            model: models::channel_receiver_drop,
-        },
-        ModelSpec {
-            name: "channel_recv_many_drains",
-            threads: 2,
-            dfs: dfs(2),
-            random: random(64),
-            model: models::channel_recv_many_drains,
-        },
-        ModelSpec {
-            name: "channel_mpmc_2p1c",
-            threads: 3,
-            dfs: dfs(1),
-            random: random(128),
-            model: models::channel_mpmc_2p1c,
-        },
         ModelSpec {
             name: "deque_steal_race",
             threads: 2,
@@ -140,20 +112,6 @@ pub fn all_models() -> Vec<ModelSpec> {
             dfs: dfs(1),
             random: random(128),
             model: models::pool_two_workers,
-        },
-        ModelSpec {
-            name: "spill_flush_pins_counters",
-            threads: 2,
-            dfs: dfs(2),
-            random: random(32),
-            model: models::spill_flush_pins_counters,
-        },
-        ModelSpec {
-            name: "spill_concurrent_reader",
-            threads: 3,
-            dfs: dfs(1),
-            random: random(32),
-            model: models::spill_concurrent_reader,
         },
         ModelSpec {
             name: "serve_routing_fifo",
@@ -276,31 +234,6 @@ mod tests {
     use tempstream_runtime::sync::sched::{run_random, run_with_schedule, FailureKind, Schedule};
 
     #[test]
-    fn two_thread_channel_models_are_exhausted_clean() {
-        // The acceptance gate in miniature: bounded-preemption DFS over
-        // the 2-thread channel close/drop models finishes the whole
-        // space (never capped) with zero counterexamples. This is the
-        // property test for close/drop semantics under the shim:
-        // receivers drain everything after senders drop, and senders
-        // observe closed receivers, in EVERY ≤2-preemption schedule.
-        for name in [
-            "channel_spsc_close",
-            "channel_receiver_drop",
-            "channel_recv_many_drains",
-        ] {
-            let spec = find_model(name).unwrap();
-            let report = check_model(&spec, None, Some(16)).unwrap_or_else(|cx| {
-                panic!("model {name} failed:\n{cx}");
-            });
-            assert!(!report.dfs.capped, "{name}: DFS budget too small");
-            assert!(
-                report.dfs.executions > 1,
-                "{name}: exhaustive search explored nothing"
-            );
-        }
-    }
-
-    #[test]
     fn deque_model_is_exhausted_clean() {
         let spec = find_model("deque_steal_race").unwrap();
         let report = check_model(&spec, None, Some(16))
@@ -340,7 +273,7 @@ mod tests {
     #[test]
     fn serve_queue_models_are_exhausted_clean() {
         // The server's queues under the same microscope as the runtime
-        // channel: per-lane FIFO under reader-side routing,
+        // deque: per-lane FIFO under reader-side routing,
         // all-or-nothing batch admission, the two-worker drain race,
         // and the per-connection reply queue (pipelined FIFO +
         // writer-exit close) all exhaust their bounded schedule space
@@ -423,8 +356,8 @@ mod tests {
     #[test]
     fn same_seed_gives_byte_identical_schedules() {
         for seed in [1u64, 0xdead_beef, u64::MAX] {
-            let a = run_random(seed, 50_000, &(models::channel_mpmc_2p1c as fn()));
-            let b = run_random(seed, 50_000, &(models::channel_mpmc_2p1c as fn()));
+            let a = run_random(seed, 50_000, &(models::pool_two_workers as fn()));
+            let b = run_random(seed, 50_000, &(models::pool_two_workers as fn()));
             assert!(a.counterexample.is_none(), "model must pass");
             assert_eq!(
                 a.schedule.to_string(),

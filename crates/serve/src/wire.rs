@@ -21,8 +21,9 @@
 //! frames [`Frame::QueryDelta`] / [`Frame::DeltaReply`].
 //!
 //! Ingest payloads carry runs of records in the *same* 21-byte encoding
-//! the `trace::io` spill format uses ([`tempstream_trace::io::encode_record`]),
-//! so a trace collected offline replays over the wire byte-for-byte.
+//! as the `trace::io` binary trace format
+//! ([`tempstream_trace::io::encode_record`]), so a trace collected
+//! offline replays over the wire byte-for-byte.
 //!
 //! Robustness contract (exercised by `tests/wire_properties.rs`): a
 //! malformed, truncated, oversized, or checksum-corrupted frame never

@@ -286,7 +286,7 @@ pub fn read_trace<C: TraceClass, R: Read>(mut reader: R) -> Result<MissTrace<C>,
     let mut trace = MissTrace::new(num_cpus);
     trace.set_instructions(instructions);
     // Records decode from bulk chunks rather than five tiny reads per
-    // record — on a spill-file reload that's one `read` per ~688 KB
+    // record — reading a large trace file takes one `read` per ~688 KB
     // instead of five per 21-byte record. Within the record region,
     // premature EOF means the header's count and the payload disagree —
     // reported as `TruncatedRecords` (with `read` = whole records

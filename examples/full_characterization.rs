@@ -9,8 +9,9 @@
 //! (default `oltp`). With `--paper` the full-scale systems are used
 //! (tens of seconds); otherwise a reduced configuration runs in seconds.
 
-use tempstream_core::experiment::{Experiment, ExperimentConfig};
+use tempstream_core::experiment::ExperimentConfig;
 use tempstream_core::report::{format_length_cdf, format_origin_table, format_reuse_pdf};
+use tempstream_runtime::{run_workloads, RuntimeConfig};
 use tempstream_workloads::Workload;
 
 fn main() {
@@ -39,7 +40,9 @@ fn main() {
 
     println!("== {workload}: {}", workload.spec().paper_config);
     println!("   modeled as: {}", workload.spec().model_config);
-    let results = Experiment::new(config).run_workload(workload);
+    let rt = RuntimeConfig::with_workers(RuntimeConfig::default_workers());
+    let (mut results, _summary) = run_workloads(&config, rt, &[workload]);
+    let results = results.remove(0);
 
     println!("\n-- Figure 1 (left): off-chip misses / 1000 instructions");
     println!("multi-chip:\n{}", results.multi_chip.breakdown);

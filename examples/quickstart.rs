@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tempstream_core::experiment::{Experiment, ExperimentConfig};
+use tempstream_core::experiment::ExperimentConfig;
+use tempstream_runtime::{run_workloads, RuntimeConfig};
 use tempstream_trace::MissClass;
 use tempstream_workloads::Workload;
 
@@ -14,11 +15,12 @@ fn main() {
     // finishes in seconds; swap in `ExperimentConfig::paper()` for the
     // full 16-node / 4-core configuration.
     let config = ExperimentConfig::quick();
-    let experiment = Experiment::new(config);
 
     let workload = Workload::Apache;
     println!("running {workload} ({})...", workload.spec().paper_config);
-    let results = experiment.run_workload(workload);
+    let rt = RuntimeConfig::with_workers(RuntimeConfig::default_workers());
+    let (mut results, _summary) = run_workloads(&config, rt, &[workload]);
+    let results = results.remove(0);
 
     println!("\noff-chip miss classification (multi-chip):");
     println!("{}", results.multi_chip.breakdown);

@@ -2,12 +2,13 @@
 //! simulation → stream analysis → reports, plus trace serialization.
 
 use tempstream_coherence::{MultiChipConfig, MultiChipSim, SingleChipConfig, SingleChipSim};
-use tempstream_core::experiment::{Experiment, ExperimentConfig};
+use tempstream_core::experiment::{ExperimentConfig, WorkloadResults};
 use tempstream_core::origins::OriginTable;
 use tempstream_core::report::{format_length_cdf, format_origin_table, format_reuse_pdf};
 use tempstream_core::streams::StreamAnalysis;
 use tempstream_core::stride::StrideDetector;
 use tempstream_obsv::Registry;
+use tempstream_runtime::{run_workloads, RuntimeConfig};
 use tempstream_trace::io::{read_trace, write_trace};
 use tempstream_trace::{AccessKind, IntraChipClass, MemoryAccess, MissClass, MissTrace};
 use tempstream_workloads::{Scale, Workload, WorkloadSession};
@@ -16,11 +17,19 @@ fn quick() -> ExperimentConfig {
     ExperimentConfig::quick()
 }
 
+/// Runs `workloads` through the executor, results in input order.
+fn run(cfg: ExperimentConfig, workloads: &[Workload]) -> Vec<WorkloadResults> {
+    run_workloads(&cfg, RuntimeConfig::with_workers(2), workloads).0
+}
+
+fn run_one(cfg: ExperimentConfig, w: Workload) -> WorkloadResults {
+    run(cfg, &[w]).remove(0)
+}
+
 #[test]
 fn every_workload_runs_end_to_end() {
-    let exp = Experiment::new(quick());
-    for w in Workload::ALL {
-        let r = exp.run_workload(w);
+    for r in run(quick(), &Workload::ALL) {
+        let w = r.workload;
         assert!(r.multi_chip.total_misses > 100, "{w}: multi-chip too few");
         assert!(r.single_chip.total_misses > 50, "{w}: single-chip too few");
         assert!(
@@ -38,47 +47,105 @@ fn every_workload_runs_end_to_end() {
             .map(|&c| r.intra_chip.breakdown.count(c))
             .sum();
         assert_eq!(ic_sum as usize, r.intra_chip.total_misses, "{w}");
-        // Stream labels partition the analyzed misses.
-        let f = &r.multi_chip.streams.stream_fraction;
-        assert_eq!(
-            (f.non_repetitive + f.new_stream + f.recurring_stream) as usize,
-            r.multi_chip.streams.analyzed_misses,
-            "{w}"
-        );
-        // Stride joint breakdown covers the same misses.
-        assert_eq!(
-            r.multi_chip.streams.stride_joint.total() as usize,
-            r.multi_chip.streams.analyzed_misses,
-            "{w}"
-        );
-        // Origin rows cover the same misses.
-        let o = &r.multi_chip.streams.origins;
-        let row_sum: u64 = o.rows.iter().map(|row| row.misses).sum();
-        assert_eq!(row_sum, o.total_misses, "{w}");
+        for s in [
+            &r.multi_chip.streams,
+            &r.single_chip.streams,
+            &r.intra_chip.streams,
+        ] {
+            // Stream labels partition the analyzed misses.
+            let f = &s.stream_fraction;
+            assert_eq!(
+                (f.non_repetitive + f.new_stream + f.recurring_stream) as usize,
+                s.analyzed_misses,
+                "{w}"
+            );
+            // Stride joint breakdown covers the same misses.
+            assert_eq!(s.stride_joint.total() as usize, s.analyzed_misses, "{w}");
+            // Origin rows cover the same misses.
+            let row_sum: u64 = s.origins.rows.iter().map(|row| row.misses).sum();
+            assert_eq!(row_sum, s.origins.total_misses, "{w}");
+        }
     }
 }
 
 #[test]
 fn experiments_are_deterministic_end_to_end() {
-    let a = Experiment::new(quick()).run_workload(Workload::Zeus);
-    let b = Experiment::new(quick()).run_workload(Workload::Zeus);
+    // Two runs of the same workloads, at different worker counts, must
+    // agree on every result (`Debug` prints every counter and float).
+    let workloads = [Workload::Zeus, Workload::Oltp];
+    let (a, _) = run_workloads(&quick(), RuntimeConfig::with_workers(1), &workloads);
+    let (b, _) = run_workloads(&quick(), RuntimeConfig::with_workers(2), &workloads);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn determinism_across_runs() {
+    // Repeated runs at the same worker count agree on every result.
+    let a = run_one(quick(), Workload::Oltp);
+    let b = run_one(quick(), Workload::Oltp);
     assert_eq!(a.multi_chip.total_misses, b.multi_chip.total_misses);
-    assert_eq!(a.single_chip.total_misses, b.single_chip.total_misses);
-    assert_eq!(a.intra_chip.total_misses, b.intra_chip.total_misses);
     assert_eq!(
         a.multi_chip.streams.stream_fraction.recurring_stream,
         b.multi_chip.streams.stream_fraction.recurring_stream
     );
+    assert_eq!(a.intra_chip.total_misses, b.intra_chip.total_misses);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn quick_experiment_produces_all_contexts() {
+    let r = run_one(quick(), Workload::Apache);
+    assert!(r.multi_chip.total_misses > 0, "multi-chip trace empty");
+    assert!(r.single_chip.total_misses > 0, "single-chip trace empty");
+    assert!(r.intra_chip.total_misses > 0, "intra-chip trace empty");
+    // Intra-chip misses include all off-chip L1 misses, so there are at
+    // least as many.
+    assert!(r.intra_chip.total_misses >= r.single_chip.total_misses);
+    // Labels and counts are internally consistent.
     assert_eq!(
-        a.intra_chip.streams.stride_joint.repetitive_strided,
-        b.intra_chip.streams.stride_joint.repetitive_strided
+        r.multi_chip.streams.stream_fraction.total() as usize,
+        r.multi_chip.streams.analyzed_misses
     );
 }
 
 #[test]
+fn origin_tables_cover_all_misses() {
+    let r = run_one(quick(), Workload::Zeus);
+    for t in [
+        &r.multi_chip.streams.origins,
+        &r.single_chip.streams.origins,
+        &r.intra_chip.streams.origins,
+    ] {
+        let sum: u64 = t.rows.iter().map(|row| row.misses).sum();
+        assert_eq!(sum, t.total_misses);
+    }
+}
+
+#[test]
+fn analysis_cap_is_respected() {
+    let mut cfg = quick();
+    cfg.max_analysis_misses = 100;
+    let r = run_one(cfg, Workload::DssQ1);
+    for (total, s) in [
+        (r.multi_chip.total_misses, &r.multi_chip.streams),
+        (r.single_chip.total_misses, &r.single_chip.streams),
+        (r.intra_chip.total_misses, &r.intra_chip.streams),
+    ] {
+        assert_eq!(s.analyzed_misses, total.min(100));
+        assert_eq!(s.stream_fraction.total() as usize, s.analyzed_misses);
+    }
+    // Class breakdowns still cover the whole multi-chip trace.
+    let mc_sum: u64 = MissClass::ALL
+        .iter()
+        .map(|&c| r.multi_chip.breakdown.count(c))
+        .sum();
+    assert_eq!(mc_sum as usize, r.multi_chip.total_misses);
+}
+
+#[test]
 fn different_seed_changes_traces() {
-    let a = Experiment::new(quick()).run_workload(Workload::Oltp);
-    let b = Experiment::new(quick().with_seed(1234)).run_workload(Workload::Oltp);
+    let a = run_one(quick(), Workload::Oltp);
+    let b = run_one(quick().with_seed(1234), Workload::Oltp);
     assert_ne!(
         (a.multi_chip.total_misses, a.single_chip.total_misses),
         (b.multi_chip.total_misses, b.single_chip.total_misses)
@@ -229,7 +296,7 @@ fn stride_and_stream_labels_align_with_trace() {
 
 #[test]
 fn report_formatters_render_real_results() {
-    let r = Experiment::new(quick()).run_workload(Workload::Apache);
+    let r = run_one(quick(), Workload::Apache);
     let s1 = format_origin_table(&r.multi_chip.streams.origins);
     assert!(s1.contains("Kernel STREAMS subsystem"));
     assert!(s1.contains("Overall % in streams"));
@@ -248,7 +315,7 @@ fn run_all_covers_six_workloads() {
         warmup_ops: 10,
         ops: 60,
     });
-    let all = Experiment::new(cfg).run_all();
+    let all = run(cfg, &Workload::ALL);
     assert_eq!(all.len(), 6);
     let names: Vec<_> = all.iter().map(|r| r.workload.name()).collect();
     assert_eq!(

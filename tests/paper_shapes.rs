@@ -6,7 +6,8 @@
 //! the `reproduce` binary and recorded in EXPERIMENTS.md.
 
 use tempstream_coherence::{MultiChipConfig, SingleChipConfig};
-use tempstream_core::experiment::{Experiment, ExperimentConfig, WorkloadResults};
+use tempstream_core::experiment::{ExperimentConfig, WorkloadResults};
+use tempstream_runtime::{run_workloads, RuntimeConfig};
 use tempstream_trace::{MissCategory, MissClass};
 use tempstream_workloads::{Scale, Workload};
 
@@ -23,8 +24,14 @@ fn shape_config() -> ExperimentConfig {
     }
 }
 
+fn run_with(cfg: ExperimentConfig, w: Workload) -> WorkloadResults {
+    run_workloads(&cfg, RuntimeConfig::with_workers(2), &[w])
+        .0
+        .remove(0)
+}
+
 fn run(w: Workload) -> WorkloadResults {
-    Experiment::new(shape_config()).run_workload(w)
+    run_with(shape_config(), w)
 }
 
 /// §4.1 / Figure 1: a single-chip multiprocessor captures all (non-I/O)
@@ -56,7 +63,7 @@ fn coherence_share_grows_with_l2_capacity() {
     let ratio_with_l2 = |l2_kb: u64| {
         let mut cfg = shape_config();
         cfg.multi_chip.l2 = tempstream_cache::CacheConfig::new(l2_kb * 1024, 16);
-        let r = Experiment::new(cfg).run_workload(Workload::Oltp);
+        let r = run_with(cfg, Workload::Oltp);
         let coh = r.multi_chip.breakdown.count(MissClass::Coherence) as f64;
         let repl = r.multi_chip.breakdown.count(MissClass::Replacement) as f64;
         coh / (coh + repl)
