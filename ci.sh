@@ -17,7 +17,8 @@
 #      incrementally in interleaved chunks (with snapshots between
 #      chunks) must digest byte-identically to one batch feed
 #   9. metrics gate: --metrics-json emits valid JSON with the expected
-#      top-level keys and leaves stdout untouched
+#      top-level keys and leaves stdout untouched, and its runtime
+#      summary reports min(--jobs, host cores) workers
 #  10. serve soak gates: a live server on loopback, driven by the
 #      in-tree load generator with --verify (online answers must match
 #      the offline batch comparator bit-exactly); the metrics snapshot
@@ -139,6 +140,12 @@ jq -e '(.metrics.spans | has("stage")) and (.metrics.counters | has("sim")) and 
   || { echo "metrics gate FAILED: registry missing stage/sim/sequitur sections"; exit 1; }
 jq -e '.metrics.gauges.sequitur.digram_index_bytes > 0' "$det_dir/metrics.json" >/dev/null \
   || { echo "metrics gate FAILED: sequitur/digram_index_bytes gauge missing or zero"; exit 1; }
+# The pool runs at most one thread per core, and the summary must
+# report the threads that ran, not the --jobs that was asked for.
+./target/release/reproduce fig2 --quick --jobs 4 --metrics-json "$det_dir/metrics4.json" \
+  >/dev/null 2>&1
+jq -e '.runtime.workers == ([.meta.jobs, .meta.host_cores] | min)' "$det_dir/metrics4.json" >/dev/null \
+  || { echo "metrics gate FAILED: runtime.workers is not min(jobs, host_cores)"; jq '.meta, .runtime.workers' "$det_dir/metrics4.json"; exit 1; }
 
 echo "== serve soak: loopback ingest + verify + drain =="
 # A real server process on an ephemeral loopback port, a real client.

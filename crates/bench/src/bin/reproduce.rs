@@ -183,6 +183,10 @@ fn write_metrics_json(
     meta.set("command", Json::Str(opts.cmd.clone()));
     meta.set("quick", Json::Bool(opts.quick));
     meta.set("jobs", Json::UInt(opts.jobs as u64));
+    meta.set(
+        "host_cores",
+        Json::UInt(RuntimeConfig::default_workers() as u64),
+    );
     if let Some(s) = opts.seed {
         meta.set("seed", Json::UInt(s));
     }

@@ -31,6 +31,7 @@ pub mod events;
 pub mod history;
 pub mod multi_chip;
 pub mod protocol;
+mod recorder;
 pub mod single_chip;
 
 pub use events::CoherenceEvents;

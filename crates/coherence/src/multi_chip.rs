@@ -19,11 +19,17 @@
 //! no node's state, and a valid copy implies the reader's history mark
 //! is already set, so there is nothing to record. Only misses, writes
 //! and device writes probe the record.
+//!
+//! Every off-chip read miss is counted by class; its record is stored
+//! only while the trace is under the record limit (unlimited unless
+//! [`MultiChipSim::set_record_limit`] lowers it), since the analyses
+//! read at most a prefix of the trace.
 
 use crate::block_table::BlockTable;
 use crate::events::{CoherenceEvents, ReadPaths};
 use crate::history::BlockHistory;
 use crate::protocol::{Action, BlockStates, Event, MsiState, ProtocolState, ProtocolTable, MSI};
+use crate::recorder::Recorder;
 use tempstream_cache::{CacheConfig, SetAssocCache};
 use tempstream_obsv::Registry;
 use tempstream_trace::{AccessKind, Block, MemoryAccess, MissClass, MissRecord, MissTrace};
@@ -101,7 +107,7 @@ pub struct MultiChipSim {
     /// fill, write, eviction, and I/O invalidate as an event.
     protocol: ProtocolTable<MsiState>,
     blocks: BlockTable<BlockRecord>,
-    trace: MissTrace<MissClass>,
+    trace: Recorder<MissClass>,
     recording: bool,
     events: CoherenceEvents,
     reads: ReadPaths,
@@ -127,7 +133,7 @@ impl MultiChipSim {
                 .collect(),
             protocol: ProtocolTable::new(&MSI, config.nodes),
             blocks: BlockTable::default(),
-            trace: MissTrace::new(config.nodes),
+            trace: Recorder::new(config.nodes),
             recording: true,
             events: CoherenceEvents::default(),
             reads: ReadPaths::default(),
@@ -142,14 +148,28 @@ impl MultiChipSim {
         self.recording = recording;
     }
 
+    /// Stores at most `limit` miss records; misses past it are still
+    /// counted by [`miss_count`](Self::miss_count) and
+    /// [`class_counts`](Self::class_counts), so the stored trace is the
+    /// first `limit` records of the full one.
+    pub fn set_record_limit(&mut self, limit: usize) {
+        self.trace.set_limit(limit);
+    }
+
     /// The system configuration.
     pub fn config(&self) -> &MultiChipConfig {
         &self.config
     }
 
-    /// Number of off-chip read misses recorded so far.
+    /// Number of off-chip read misses recorded so far, stored or not.
     pub fn miss_count(&self) -> usize {
-        self.trace.len()
+        self.trace.total() as usize
+    }
+
+    /// Off-chip read misses recorded so far per class, stored or not,
+    /// in [`MissClass::ALL`] order.
+    pub fn class_counts(&self) -> [u64; 4] {
+        self.trace.counts()
     }
 
     /// Protocol-activity counts accumulated so far.
@@ -162,22 +182,14 @@ impl MultiChipSim {
     /// `registry` under `prefix` (e.g. `sim/apache/multi_chip`). Call
     /// before [`finish`](Self::finish).
     pub fn export_obsv(&self, registry: &Registry, prefix: &str) {
-        let mut counts = [0u64; 4];
-        for r in self.trace.records() {
-            let i = MissClass::ALL
-                .iter()
-                .position(|&c| c == r.class)
-                .expect("class in ALL");
-            counts[i] += 1;
-        }
-        for (class, n) in MissClass::ALL.iter().zip(counts) {
+        for (class, n) in MissClass::ALL.iter().zip(self.trace.counts()) {
             registry
                 .counter(&format!("{prefix}/miss_class/{class:?}"))
                 .add(n);
         }
         registry
             .counter(&format!("{prefix}/misses"))
-            .add(self.trace.len() as u64);
+            .add(self.trace.total());
         self.events.export(registry, prefix);
         self.reads.export(registry, prefix);
         registry
@@ -216,11 +228,10 @@ impl MultiChipSim {
         }
     }
 
-    /// Finalizes the off-chip miss trace, attaching the instruction count
-    /// over which it was collected.
-    pub fn finish(mut self, instructions: u64) -> MissTrace<MissClass> {
-        self.trace.set_instructions(instructions);
-        self.trace
+    /// Finalizes the off-chip miss trace (the stored records), attaching
+    /// the instruction count over which it was collected.
+    pub fn finish(self, instructions: u64) -> MissTrace<MissClass> {
+        self.trace.finish(instructions)
     }
 
     fn read(&mut self, a: &MemoryAccess, block: Block) {
@@ -261,7 +272,7 @@ impl MultiChipSim {
         let rec = self.blocks.get_mut(block);
         // Off-chip miss: classify from history, then fill both levels.
         if self.recording {
-            self.trace.push(MissRecord {
+            self.trace.record(MissRecord {
                 block,
                 cpu: a.cpu,
                 thread: a.thread,

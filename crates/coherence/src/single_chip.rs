@@ -28,11 +28,17 @@
 //!   `Coherence:L2`, or `Replacement:L2`. An L1 miss that also misses the
 //!   L2 appears in the intra-chip trace as `Off-chip` *and* in the off-chip
 //!   trace, mirroring Figure 1 (right)'s "Off-chip" segment.
+//!
+//! Every miss of either trace is counted by class; its record is stored
+//! only while that trace is under the record limit (unlimited unless
+//! [`SingleChipSim::set_record_limit`] lowers it), since the analyses
+//! read at most a prefix of each trace.
 
 use crate::block_table::BlockTable;
 use crate::events::{CoherenceEvents, ReadPaths};
 use crate::history::BlockHistory;
 use crate::protocol::{Action, BlockStates, Event, MosiState, ProtocolState, ProtocolTable, MOSI};
+use crate::recorder::Recorder;
 use tempstream_cache::{CacheConfig, SetAssocCache};
 use tempstream_obsv::Registry;
 use tempstream_trace::{
@@ -119,8 +125,8 @@ pub struct SingleChipSim {
     /// every eviction and invalidation as an event.
     protocol: ProtocolTable<MosiState>,
     blocks: BlockTable<BlockRecord>,
-    off_chip: MissTrace<MissClass>,
-    intra_chip: MissTrace<IntraChipClass>,
+    off_chip: Recorder<MissClass>,
+    intra_chip: Recorder<IntraChipClass>,
     recording: bool,
     events: CoherenceEvents,
     reads: ReadPaths,
@@ -144,8 +150,8 @@ impl SingleChipSim {
             l2: SetAssocCache::new(config.l2),
             protocol: ProtocolTable::new(&MOSI, config.cores),
             blocks: BlockTable::default(),
-            off_chip: MissTrace::new(config.cores),
-            intra_chip: MissTrace::new(config.cores),
+            off_chip: Recorder::new(config.cores),
+            intra_chip: Recorder::new(config.cores),
             recording: true,
             events: CoherenceEvents::default(),
             reads: ReadPaths::default(),
@@ -159,9 +165,30 @@ impl SingleChipSim {
         self.recording = recording;
     }
 
+    /// Stores at most `limit` records in each trace; misses past it are
+    /// still counted by [`off_chip_class_counts`](Self::off_chip_class_counts)
+    /// and [`intra_chip_class_counts`](Self::intra_chip_class_counts), so
+    /// each stored trace is the first `limit` records of the full one.
+    pub fn set_record_limit(&mut self, limit: usize) {
+        self.off_chip.set_limit(limit);
+        self.intra_chip.set_limit(limit);
+    }
+
     /// The system configuration.
     pub fn config(&self) -> &SingleChipConfig {
         &self.config
+    }
+
+    /// Off-chip read misses recorded so far per class, stored or not,
+    /// in [`MissClass::ALL`] order.
+    pub fn off_chip_class_counts(&self) -> [u64; 4] {
+        self.off_chip.counts()
+    }
+
+    /// Intra-chip L1 read misses recorded so far per class, stored or
+    /// not, in [`IntraChipClass::ALL`] order.
+    pub fn intra_chip_class_counts(&self) -> [u64; 4] {
+        self.intra_chip.counts()
     }
 
     /// The core whose L1 owns `block` (MOSI M or O state), if any.
@@ -183,38 +210,22 @@ impl SingleChipSim {
     /// into `registry` under `prefix` (e.g. `sim/apache/single_chip`).
     /// Call before [`finish`](Self::finish).
     pub fn export_obsv(&self, registry: &Registry, prefix: &str) {
-        let mut off = [0u64; 4];
-        for r in self.off_chip.records() {
-            let i = MissClass::ALL
-                .iter()
-                .position(|&c| c == r.class)
-                .expect("class in ALL");
-            off[i] += 1;
-        }
-        for (class, n) in MissClass::ALL.iter().zip(off) {
+        for (class, n) in MissClass::ALL.iter().zip(self.off_chip.counts()) {
             registry
                 .counter(&format!("{prefix}/miss_class/{class:?}"))
                 .add(n);
         }
-        let mut intra = [0u64; 4];
-        for r in self.intra_chip.records() {
-            let i = IntraChipClass::ALL
-                .iter()
-                .position(|&c| c == r.class)
-                .expect("class in ALL");
-            intra[i] += 1;
-        }
-        for (class, n) in IntraChipClass::ALL.iter().zip(intra) {
+        for (class, n) in IntraChipClass::ALL.iter().zip(self.intra_chip.counts()) {
             registry
                 .counter(&format!("{prefix}/intra_class/{class:?}"))
                 .add(n);
         }
         registry
             .counter(&format!("{prefix}/misses"))
-            .add(self.off_chip.len() as u64);
+            .add(self.off_chip.total());
         registry
             .counter(&format!("{prefix}/intra_misses"))
-            .add(self.intra_chip.len() as u64);
+            .add(self.intra_chip.total());
         self.events.export(registry, prefix);
         self.reads.export(registry, prefix);
         registry
@@ -247,13 +258,12 @@ impl SingleChipSim {
         }
     }
 
-    /// Finalizes both traces, attaching the instruction count.
-    pub fn finish(mut self, instructions: u64) -> SingleChipTraces {
-        self.off_chip.set_instructions(instructions);
-        self.intra_chip.set_instructions(instructions);
+    /// Finalizes both traces (the stored records), attaching the
+    /// instruction count.
+    pub fn finish(self, instructions: u64) -> SingleChipTraces {
         SingleChipTraces {
-            off_chip: self.off_chip,
-            intra_chip: self.intra_chip,
+            off_chip: self.off_chip.finish(instructions),
+            intra_chip: self.intra_chip.finish(instructions),
         }
     }
 
@@ -316,7 +326,7 @@ impl SingleChipSim {
             IntraChipClass::ReplacementL2
         };
         if self.recording {
-            self.intra_chip.push(MissRecord {
+            self.intra_chip.record(MissRecord {
                 block,
                 cpu: a.cpu,
                 thread: a.thread,
@@ -334,7 +344,7 @@ impl SingleChipSim {
                     MissClass::Coherence,
                     "chip-granularity history produced an off-chip coherence miss"
                 );
-                self.off_chip.push(MissRecord {
+                self.off_chip.record(MissRecord {
                     block,
                     cpu: a.cpu,
                     thread: a.thread,

@@ -8,7 +8,7 @@ use std::fmt;
 use tempstream_trace::{IntraChipClass, MissClass, MissTrace};
 
 /// Figure 1 (left): off-chip read misses per 1000 instructions by class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MissClassBreakdown {
     counts: [u64; 4],
     instructions: u64,
@@ -16,30 +16,28 @@ pub struct MissClassBreakdown {
 }
 
 impl MissClassBreakdown {
+    /// Builds the breakdown from per-class miss counts, in
+    /// [`MissClass::ALL`] order, over `instructions` instructions.
+    pub fn from_counts(counts: [u64; 4], instructions: u64) -> Self {
+        MissClassBreakdown {
+            counts,
+            instructions,
+            total: counts.iter().sum(),
+        }
+    }
+
     /// Builds the breakdown from an off-chip trace.
     pub fn of_trace(trace: &MissTrace<MissClass>) -> Self {
         let mut counts = [0u64; 4];
         for r in trace.records() {
-            let i = MissClass::ALL
-                .iter()
-                .position(|&c| c == r.class)
-                .expect("class in ALL");
-            counts[i] += 1;
+            counts[r.class.index()] += 1;
         }
-        MissClassBreakdown {
-            counts,
-            instructions: trace.instructions(),
-            total: trace.len() as u64,
-        }
+        Self::from_counts(counts, trace.instructions())
     }
 
     /// Misses of `class`.
     pub fn count(&self, class: MissClass) -> u64 {
-        let i = MissClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
-        self.counts[i]
+        self.counts[class.index()]
     }
 
     /// Misses of `class` per 1000 instructions.
@@ -80,7 +78,7 @@ impl fmt::Display for MissClassBreakdown {
 
 /// Figure 1 (right): intra-chip L1 misses per 1000 instructions by cause
 /// and responder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntraClassBreakdown {
     counts: [u64; 4],
     instructions: u64,
@@ -88,30 +86,28 @@ pub struct IntraClassBreakdown {
 }
 
 impl IntraClassBreakdown {
+    /// Builds the breakdown from per-class miss counts, in
+    /// [`IntraChipClass::ALL`] order, over `instructions` instructions.
+    pub fn from_counts(counts: [u64; 4], instructions: u64) -> Self {
+        IntraClassBreakdown {
+            counts,
+            instructions,
+            total: counts.iter().sum(),
+        }
+    }
+
     /// Builds the breakdown from an intra-chip trace.
     pub fn of_trace(trace: &MissTrace<IntraChipClass>) -> Self {
         let mut counts = [0u64; 4];
         for r in trace.records() {
-            let i = IntraChipClass::ALL
-                .iter()
-                .position(|&c| c == r.class)
-                .expect("class in ALL");
-            counts[i] += 1;
+            counts[r.class.index()] += 1;
         }
-        IntraClassBreakdown {
-            counts,
-            instructions: trace.instructions(),
-            total: trace.len() as u64,
-        }
+        Self::from_counts(counts, trace.instructions())
     }
 
     /// Misses of `class`.
     pub fn count(&self, class: IntraChipClass) -> u64 {
-        let i = IntraChipClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
-        self.counts[i]
+        self.counts[class.index()]
     }
 
     /// Misses of `class` per 1000 instructions.

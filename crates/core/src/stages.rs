@@ -25,7 +25,9 @@ use crate::distribution::{LengthCdf, ReuseDistancePdf};
 use crate::experiment::{ExperimentConfig, StreamResults};
 use crate::functions::FunctionTable;
 use crate::origins::OriginTable;
-use crate::report::{StreamFractionReport, StrideJointReport};
+use crate::report::{
+    IntraClassBreakdown, MissClassBreakdown, StreamFractionReport, StrideJointReport,
+};
 use crate::streams::{StreamAnalysis, StreamLabel};
 use crate::stride::StrideDetector;
 use std::sync::Arc;
@@ -33,7 +35,7 @@ use tempstream_coherence::single_chip::SingleChipTraces;
 use tempstream_coherence::{MultiChipSim, SingleChipSim};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::sink::AccessSink;
-use tempstream_trace::{MissClass, MissTrace, SymbolTable};
+use tempstream_trace::{IntraChipClass, MissClass, MissTrace, SymbolTable};
 use tempstream_workloads::{Scale, Workload, WorkloadSession};
 
 /// An access consumer that distinguishes the warmup phase from the
@@ -96,22 +98,48 @@ pub fn emit_workload<S: PhasedSink>(
     })
 }
 
+/// One context's output of a capped collect stage.
+#[derive(Debug)]
+pub struct Collected<C, B> {
+    /// The first `cap` misses of the context's trace (all of them when
+    /// the trace is shorter).
+    pub trace: MissTrace<C>,
+    /// The class breakdown of every miss, stored or not.
+    pub breakdown: B,
+}
+
 /// Fused emit+simulate stage for the multi-chip system: collects the
 /// off-chip miss trace and symbol table for one workload.
 pub fn collect_multi_chip(
     cfg: &ExperimentConfig,
     workload: Workload,
 ) -> (MissTrace<MissClass>, SymbolTable) {
+    let (off, symbols) = collect_multi_chip_capped(cfg, workload, usize::MAX);
+    (off.trace, symbols)
+}
+
+/// [`collect_multi_chip`] storing at most `cap` miss records; the
+/// breakdown still counts every miss.
+pub fn collect_multi_chip_capped(
+    cfg: &ExperimentConfig,
+    workload: Workload,
+    cap: usize,
+) -> (Collected<MissClass, MissClassBreakdown>, SymbolTable) {
     tempstream_obsv::global().time("stage/simulate/multi_chip", || {
         let scale = scale_for(cfg, workload);
         let mut sim = MultiChipSim::new(cfg.multi_chip);
         sim.set_recording(false);
+        sim.set_record_limit(cap);
         let out = emit_workload(workload, cfg.multi_chip.nodes, cfg.seed, scale, &mut sim);
         sim.export_obsv(
             tempstream_obsv::global(),
             &format!("sim/{}/multi_chip", workload.name()),
         );
-        (sim.finish(out.instructions), out.symbols)
+        let off = Collected {
+            breakdown: MissClassBreakdown::from_counts(sim.class_counts(), out.instructions),
+            trace: sim.finish(out.instructions),
+        };
+        (off, out.symbols)
     })
 }
 
@@ -121,16 +149,47 @@ pub fn collect_single_chip(
     cfg: &ExperimentConfig,
     workload: Workload,
 ) -> (SingleChipTraces, SymbolTable) {
+    let (off, intra, symbols) = collect_single_chip_capped(cfg, workload, usize::MAX);
+    let traces = SingleChipTraces {
+        off_chip: off.trace,
+        intra_chip: intra.trace,
+    };
+    (traces, symbols)
+}
+
+/// [`collect_single_chip`] storing at most `cap` miss records per
+/// trace; the breakdowns still count every miss.
+pub fn collect_single_chip_capped(
+    cfg: &ExperimentConfig,
+    workload: Workload,
+    cap: usize,
+) -> (
+    Collected<MissClass, MissClassBreakdown>,
+    Collected<IntraChipClass, IntraClassBreakdown>,
+    SymbolTable,
+) {
     tempstream_obsv::global().time("stage/simulate/single_chip", || {
         let scale = scale_for(cfg, workload);
         let mut sim = SingleChipSim::new(cfg.single_chip);
         sim.set_recording(false);
+        sim.set_record_limit(cap);
         let out = emit_workload(workload, cfg.single_chip.cores, cfg.seed, scale, &mut sim);
         sim.export_obsv(
             tempstream_obsv::global(),
             &format!("sim/{}/single_chip", workload.name()),
         );
-        (sim.finish(out.instructions), out.symbols)
+        let off_counts = sim.off_chip_class_counts();
+        let intra_counts = sim.intra_chip_class_counts();
+        let traces = sim.finish(out.instructions);
+        let off = Collected {
+            trace: traces.off_chip,
+            breakdown: MissClassBreakdown::from_counts(off_counts, out.instructions),
+        };
+        let intra = Collected {
+            trace: traces.intra_chip,
+            breakdown: IntraClassBreakdown::from_counts(intra_counts, out.instructions),
+        };
+        (off, intra, out.symbols)
     })
 }
 
@@ -312,5 +371,83 @@ mod tests {
         assert_eq!(split.stride_joint, composed.stride_joint);
         assert_eq!(split.distinct_streams, composed.distinct_streams);
         assert_eq!(split.analyzed_misses, composed.analyzed_misses);
+    }
+
+    /// A record limit below every quick-scale trace length.
+    const LIMIT: usize = 1_000;
+
+    #[test]
+    fn capped_collect_stores_the_prefix_and_counts_every_miss() {
+        let cfg = ExperimentConfig::quick();
+        let w = Workload::Oltp;
+
+        let (full, _) = collect_multi_chip(&cfg, w);
+        let (off, _) = collect_multi_chip_capped(&cfg, w, LIMIT);
+        assert!(full.len() > LIMIT, "trace shorter than the limit");
+        assert_eq!(off.trace.records(), &full.records()[..LIMIT]);
+        assert_eq!(off.trace.instructions(), full.instructions());
+        assert_eq!(off.breakdown, MissClassBreakdown::of_trace(&full));
+
+        let (full, _) = collect_single_chip(&cfg, w);
+        let (off, intra, _) = collect_single_chip_capped(&cfg, w, LIMIT);
+        assert!(full.off_chip.len() > LIMIT && full.intra_chip.len() > LIMIT);
+        assert_eq!(off.trace.records(), &full.off_chip.records()[..LIMIT]);
+        assert_eq!(intra.trace.records(), &full.intra_chip.records()[..LIMIT]);
+        assert_eq!(off.breakdown, MissClassBreakdown::of_trace(&full.off_chip));
+        assert_eq!(
+            intra.breakdown,
+            IntraClassBreakdown::of_trace(&full.intra_chip)
+        );
+    }
+
+    #[test]
+    fn record_limit_leaves_exported_counters_whole() {
+        let cfg = ExperimentConfig::quick();
+        let w = Workload::Apache;
+        let scale = scale_for(&cfg, w);
+        let export = |limit: usize| {
+            let registry = tempstream_obsv::Registry::new();
+            let mut mc = MultiChipSim::new(cfg.multi_chip);
+            mc.set_recording(false);
+            mc.set_record_limit(limit);
+            emit_workload(w, cfg.multi_chip.nodes, cfg.seed, scale, &mut mc);
+            mc.export_obsv(&registry, "sim/apache/multi_chip");
+            let mut sc = SingleChipSim::new(cfg.single_chip);
+            sc.set_recording(false);
+            sc.set_record_limit(limit);
+            emit_workload(w, cfg.single_chip.cores, cfg.seed, scale, &mut sc);
+            sc.export_obsv(&registry, "sim/apache/single_chip");
+            (registry, mc.finish(0).len(), sc.finish(0))
+        };
+        let (capped, mc_stored, sc_stored) = export(LIMIT);
+        let (full, mc_len, sc_full) = export(usize::MAX);
+
+        assert_eq!(mc_stored, LIMIT);
+        assert_eq!(sc_stored.off_chip.len(), LIMIT);
+        assert_eq!(sc_stored.intra_chip.len(), LIMIT);
+        let count = |r: &tempstream_obsv::Registry, name: &str| r.counter(name).get();
+        for (name, len) in [
+            ("sim/apache/multi_chip/misses", mc_len),
+            ("sim/apache/single_chip/misses", sc_full.off_chip.len()),
+            (
+                "sim/apache/single_chip/intra_misses",
+                sc_full.intra_chip.len(),
+            ),
+        ] {
+            assert!(len > LIMIT, "{name}: trace shorter than the limit");
+            assert_eq!(count(&capped, name), len as u64, "{name}");
+        }
+        for class in MissClass::ALL {
+            for ctx in ["multi_chip", "single_chip"] {
+                let name = format!("sim/apache/{ctx}/miss_class/{class:?}");
+                assert_eq!(count(&capped, &name), count(&full, &name), "{name}");
+            }
+        }
+        for class in IntraChipClass::ALL {
+            let name = format!("sim/apache/single_chip/intra_class/{class:?}");
+            assert_eq!(count(&capped, &name), count(&full, &name), "{name}");
+        }
+        // Nothing else the simulators export depends on the limit either.
+        assert_eq!(capped.snapshot(), full.snapshot());
     }
 }

@@ -150,8 +150,7 @@ impl RunSummary {
 
     /// Busy-time / (wall × workers): 1.0 means every worker was busy
     /// for the whole run. Every job runs on a pool worker, so the ratio
-    /// cannot exceed 1.0; `workers` is the requested count, so on a host
-    /// with fewer cores than that the ratio reads low.
+    /// cannot exceed 1.0.
     pub fn utilization(&self) -> f64 {
         fracf(
             self.total_busy().as_secs_f64(),

@@ -14,11 +14,13 @@
 //! Each simulate job runs its workload's emit stage fused into the
 //! simulator (`tempstream_core::stages::collect_*`), one per system:
 //! the multi-chip job yields one trace, the single-chip job two (its
-//! off-chip and intra-chip misses). It banks the full-trace class
-//! breakdown, truncates each trace to the analysis cap, and spawns that
-//! context's analyses over one `Arc`-shared [`MissTrace`]; the trace is
-//! freed when the last of them finishes. The concurrency is *across*
-//! workloads and contexts; a job itself is single-threaded.
+//! off-chip and intra-chip misses). The simulator counts every miss by
+//! class but stores only the first `max_analysis_misses` records of each
+//! trace, the prefix the analyses read. The job banks the class
+//! breakdown and spawns that context's analyses over one `Arc`-shared
+//! [`MissTrace`]; the trace is freed when the last of them finishes.
+//! The concurrency is *across* workloads and contexts; a job itself is
+//! single-threaded.
 //!
 //! **Determinism:** every job is a pure function of its inputs, which
 //! come from the deterministic stages of `tempstream_core::stages`;
@@ -46,7 +48,7 @@ pub struct RuntimeConfig {
     /// Requested worker threads (clamped to at least 1). The pool never
     /// spawns more threads than the host's available parallelism —
     /// oversubscription only costs context switches — so this is an
-    /// upper bound, reported as-is in the run summary.
+    /// upper bound; the run summary reports the threads that ran.
     pub workers: usize,
 }
 
@@ -88,9 +90,9 @@ impl<T> Cell<T> {
 /// All partials for one (workload, context) pair, filled in by jobs and
 /// drained by the reducer. `B` is the context's class breakdown.
 struct ContextSlot<B> {
-    /// The simulate stage's contribution: the full-trace class
-    /// breakdown and the total miss count.
-    collected: Cell<(B, usize)>,
+    /// The simulate stage's contribution: the class breakdown of every
+    /// miss, stored or not.
+    breakdown: Cell<B>,
     streams: Cell<StreamsPartial>,
     flags: Cell<Vec<bool>>,
     origins: Cell<tempstream_core::origins::OriginTable>,
@@ -100,7 +102,7 @@ struct ContextSlot<B> {
 impl<B> ContextSlot<B> {
     fn new() -> Self {
         ContextSlot {
-            collected: Cell::new(),
+            breakdown: Cell::new(),
             streams: Cell::new(),
             flags: Cell::new(),
             origins: Cell::new(),
@@ -108,10 +110,10 @@ impl<B> ContextSlot<B> {
         }
     }
 
-    /// Takes every partial: the breakdown, the total miss count, and the
-    /// assembled stream results.
-    fn take(&self) -> (B, usize, StreamResults) {
-        let (breakdown, total_misses) = self.collected.take();
+    /// Takes every partial: the breakdown and the assembled stream
+    /// results.
+    fn take(&self) -> (B, StreamResults) {
+        let breakdown = self.breakdown.take();
         let streams = self.streams.take();
         let analyzed = streams.labels.len();
         let results = stages::assemble_stream_results(
@@ -121,7 +123,7 @@ impl<B> ContextSlot<B> {
             self.functions.take(),
             analyzed,
         );
-        (breakdown, total_misses, results)
+        (breakdown, results)
     }
 }
 
@@ -187,7 +189,7 @@ pub fn run_workloads(
             .collect::<Vec<_>>()
     });
 
-    let summary = metrics.summarize(rt.workers, start.elapsed(), injector_depth, deque_depth);
+    let summary = metrics.summarize(threads, start.elapsed(), injector_depth, deque_depth);
     (results, summary)
 }
 
@@ -199,20 +201,15 @@ fn simulate_multi_chip<'env>(
     metrics: &'env RunMetrics,
 ) {
     let t0 = Instant::now();
-    let (mut trace, symbols) = stages::collect_multi_chip(cfg, workload);
+    let (off, symbols) = stages::collect_multi_chip_capped(cfg, workload, cfg.max_analysis_misses);
     let slot = &slots.multi_chip;
-    slot.collected
-        .set((MissClassBreakdown::of_trace(&trace), trace.len()));
-    // Everything downstream reads at most the analysis cap; dropping
-    // the excess now (breakdown and total are already banked) shrinks
-    // RSS while the analyses run.
-    trace.truncate(cfg.max_analysis_misses);
+    slot.breakdown.set(off.breakdown);
     metrics.record(Stage::Simulate, t0.elapsed());
     spawn_analyses(
         w,
         slot,
         workload,
-        Arc::new(trace),
+        Arc::new(off.trace),
         Arc::new(symbols),
         metrics,
     );
@@ -226,36 +223,22 @@ fn simulate_single_chip<'env>(
     metrics: &'env RunMetrics,
 ) {
     let t0 = Instant::now();
-    let (mut traces, symbols) = stages::collect_single_chip(cfg, workload);
+    let (off, intra, symbols) =
+        stages::collect_single_chip_capped(cfg, workload, cfg.max_analysis_misses);
     let symbols = Arc::new(symbols);
-
-    let off = &traces.off_chip;
-    slots
-        .single_chip
-        .collected
-        .set((MissClassBreakdown::of_trace(off), off.len()));
-    let intra = &traces.intra_chip;
-    slots
-        .intra_chip
-        .collected
-        .set((IntraClassBreakdown::of_trace(intra), intra.len()));
-
-    // See `simulate_multi_chip`: downstream jobs only read the capped
-    // prefix, so shed the excess first.
-    traces.off_chip.truncate(cfg.max_analysis_misses);
-    traces.intra_chip.truncate(cfg.max_analysis_misses);
+    slots.single_chip.breakdown.set(off.breakdown);
+    slots.intra_chip.breakdown.set(intra.breakdown);
     metrics.record(Stage::Simulate, t0.elapsed());
 
-    let off = Arc::new(traces.off_chip);
     spawn_analyses(
         w,
         &slots.single_chip,
         workload,
-        off,
+        Arc::new(off.trace),
         symbols.clone(),
         metrics,
     );
-    let intra = Arc::new(traces.intra_chip);
+    let intra = Arc::new(intra.trace);
     spawn_analyses(w, &slots.intra_chip, workload, intra, symbols, metrics);
 }
 
@@ -314,23 +297,23 @@ fn spawn_analyses<'env, C, B: Send>(
 /// Merges one workload's partials, in ascending context order.
 fn reduce_workload(workload: Workload, slots: &WorkloadSlots) -> WorkloadResults {
     let off = |slot: &ContextSlot<MissClassBreakdown>| {
-        let (breakdown, total_misses, streams) = slot.take();
+        let (breakdown, streams) = slot.take();
         OffChipResults {
+            total_misses: breakdown.total() as usize,
             breakdown,
-            total_misses,
             streams,
         }
     };
     let multi_chip = off(&slots.multi_chip);
     let single_chip = off(&slots.single_chip);
-    let (breakdown, total_misses, streams) = slots.intra_chip.take();
+    let (breakdown, streams) = slots.intra_chip.take();
     WorkloadResults {
         workload,
         multi_chip,
         single_chip,
         intra_chip: IntraChipResults {
+            total_misses: breakdown.total() as usize,
             breakdown,
-            total_misses,
             streams,
         },
     }
@@ -369,9 +352,55 @@ mod tests {
                 QUICK_APACHE_DSSQ2,
                 "results diverged with {workers} workers"
             );
-            assert_eq!(summary.workers, workers);
+            assert_eq!(
+                summary.workers,
+                workers.min(RuntimeConfig::default_workers())
+            );
             assert!(summary.stages[1].jobs > 0, "no analyze jobs recorded");
         }
+    }
+
+    /// `ExperimentConfig::quick()` results for all six workloads with the
+    /// analysis cap at 20,000 misses, below every quick-scale trace, so
+    /// each context's analyses read a capped prefix while its breakdown
+    /// and total count the full trace. Recorded with the pipeline that
+    /// stored every miss and truncated afterwards.
+    const QUICK_ALL_CAPPED_20K: u64 = 0x2703_f48b_a63e_633d;
+
+    #[test]
+    fn capped_results_match_pinned_digest() {
+        let cfg = ExperimentConfig {
+            max_analysis_misses: 20_000,
+            ..ExperimentConfig::quick()
+        };
+        let (got, _) = run_workloads(&cfg, RuntimeConfig::with_workers(2), &Workload::ALL);
+        for r in &got {
+            for (ctx, total, analyzed) in [
+                (
+                    "multi_chip",
+                    r.multi_chip.total_misses,
+                    r.multi_chip.streams.analyzed_misses,
+                ),
+                (
+                    "single_chip",
+                    r.single_chip.total_misses,
+                    r.single_chip.streams.analyzed_misses,
+                ),
+                (
+                    "intra_chip",
+                    r.intra_chip.total_misses,
+                    r.intra_chip.streams.analyzed_misses,
+                ),
+            ] {
+                assert!(
+                    total > cfg.max_analysis_misses,
+                    "{} {ctx}: {total} misses do not reach the cap",
+                    r.workload.name()
+                );
+                assert_eq!(analyzed, cfg.max_analysis_misses);
+            }
+        }
+        assert_eq!(digest(&got), QUICK_ALL_CAPPED_20K);
     }
 
     #[test]

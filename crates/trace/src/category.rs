@@ -37,6 +37,16 @@ impl MissClass {
         MissClass::Coherence,
     ];
 
+    /// This class's position in [`ALL`](Self::ALL).
+    pub const fn index(self) -> usize {
+        match self {
+            MissClass::Compulsory => 0,
+            MissClass::IoCoherence => 1,
+            MissClass::Replacement => 2,
+            MissClass::Coherence => 3,
+        }
+    }
+
     /// Short label used in figure output.
     pub fn label(self) -> &'static str {
         match self {
@@ -76,6 +86,16 @@ impl IntraChipClass {
         IntraChipClass::CoherenceL2,
         IntraChipClass::CoherencePeerL1,
     ];
+
+    /// This class's position in [`ALL`](Self::ALL).
+    pub const fn index(self) -> usize {
+        match self {
+            IntraChipClass::OffChip => 0,
+            IntraChipClass::ReplacementL2 => 1,
+            IntraChipClass::CoherenceL2 => 2,
+            IntraChipClass::CoherencePeerL1 => 3,
+        }
+    }
 
     /// Short label used in figure output.
     pub fn label(self) -> &'static str {
@@ -389,5 +409,15 @@ mod tests {
         );
         assert_eq!(MissClass::ALL.len(), 4);
         assert_eq!(IntraChipClass::ALL.len(), 4);
+    }
+
+    #[test]
+    fn class_index_is_position_in_all() {
+        for (i, c) in MissClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+        for (i, c) in IntraChipClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 }

@@ -57,6 +57,15 @@ impl<C: Copy> MissTrace<C> {
         self.records.push(record);
     }
 
+    /// Tries to reserve room for exactly `additional` more misses (see
+    /// [`Vec::try_reserve_exact`]); on failure the trace is unchanged.
+    pub fn try_reserve_exact(
+        &mut self,
+        additional: usize,
+    ) -> Result<(), std::collections::TryReserveError> {
+        self.records.try_reserve_exact(additional)
+    }
+
     /// Sets the number of instructions executed while collecting the trace.
     pub fn set_instructions(&mut self, instructions: u64) {
         self.instructions = instructions;
@@ -85,15 +94,6 @@ impl<C: Copy> MissTrace<C> {
     /// The miss records, in trace order.
     pub fn records(&self) -> &[MissRecord<C>] {
         &self.records
-    }
-
-    /// Keeps only the first `len` misses, dropping the rest (no-op when
-    /// the trace is already at most `len` long). The instruction count
-    /// is left untouched: it describes the collection window, not the
-    /// retained prefix.
-    pub fn truncate(&mut self, len: usize) {
-        self.records.truncate(len);
-        self.records.shrink_to_fit();
     }
 
     /// Iterates over miss records in trace order.
@@ -219,21 +219,6 @@ mod tests {
         }
         let seq: Vec<u64> = t.block_sequence().iter().map(|b| b.raw()).collect();
         assert_eq!(seq, vec![5, 3, 5, 9]);
-    }
-
-    #[test]
-    fn truncate_keeps_prefix_and_instructions() {
-        let mut t = MissTrace::new(1);
-        for b in 0..10u64 {
-            t.push(rec(b, 0, MC::Compulsory));
-        }
-        t.set_instructions(5000);
-        t.truncate(3);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.records()[2].block.raw(), 2);
-        assert_eq!(t.instructions(), 5000);
-        t.truncate(100); // longer than the trace: no-op
-        assert_eq!(t.len(), 3);
     }
 
     #[test]
