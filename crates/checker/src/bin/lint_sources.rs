@@ -6,8 +6,10 @@
 //! server library (`crates/serve/src/`, binaries exempt), every
 //! `Instant::now` inside the pure pipeline stages, and every direct
 //! `tempstream_sequitur` reference anywhere in the serve crate —
-//! grammar access goes through `core::engine::AnalysisEngine` — and
-//! every `.transition(` table scan in the two coherence simulators.
+//! grammar access goes through `core::engine::AnalysisEngine` — every
+//! `.transition(` table scan in the two coherence simulators, and every
+//! `.grammar()` / `into_grammar(` snapshot outside tests in
+//! `crates/{core,runtime,serve}/src/`.
 //!
 //! ```text
 //! lint-sources [REPO_ROOT]
@@ -35,7 +37,7 @@ fn main() {
             "lint-sources: clean (runtime and serve use the sync shim; \
              stages never read the clock; serve reaches the grammar \
              only through core::engine; simulators never scan a \
-             protocol table)"
+             protocol table; no product path snapshots a grammar)"
         );
         return;
     }

@@ -38,6 +38,13 @@
 //! `single_chip.rs` must not call `.transition(` — the linear scan of a
 //! spec's rows that `ProtocolTable::new` resolves once, up front.
 //!
+//! A fifth rule keeps grammar snapshots out of the product paths:
+//! outside `#[cfg(test)]`, `crates/core/src/`, `crates/runtime/src/`
+//! and `crates/serve/src/` must not call `.grammar()` or
+//! `into_grammar(`. A `Grammar` snapshot copies every rule body of the
+//! live SEQUITUR builder, while the one root walk in `core::streams`
+//! reads the builder in place; the snapshot stays the tests' oracle.
+//!
 //! The scan is deliberately a token scan, not a parse: line comments
 //! are stripped, `#[cfg(test)] mod … { … }` regions are skipped by
 //! brace counting, and the remaining text is searched for the
@@ -105,6 +112,17 @@ const SIMULATOR_FILES: &[&str] = &[
 /// Tokens forbidden anywhere in the serve crate (binaries included):
 /// grammar access goes through `core::engine`, never directly.
 const SERVE_FORBIDDEN: &[&str] = &["tempstream_sequitur"];
+
+/// Tokens forbidden in the product sources of [`SNAPSHOT_DIRS`]: each
+/// builds a whole `Grammar` snapshot of a SEQUITUR builder.
+const SNAPSHOT_FORBIDDEN: &[&str] = &[".grammar()", "into_grammar("];
+
+/// The source trees [`SNAPSHOT_FORBIDDEN`] applies to.
+const SNAPSHOT_DIRS: &[&str] = &[
+    "crates/core/src/",
+    "crates/runtime/src/",
+    "crates/serve/src/",
+];
 
 /// Strips a line comment (`//`, `///`, `//!`) from one line.
 ///
@@ -202,7 +220,8 @@ fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) ->
     findings
 }
 
-/// Lints one file by its repo-relative path (`/`-separated).
+/// Lints one file by its repo-relative path (`/`-separated). The rules
+/// stack: a file gets every scan whose scope covers it.
 ///
 /// * under `crates/runtime/src/` but not `crates/runtime/src/sync/`:
 ///   the raw-primitive scan;
@@ -216,31 +235,35 @@ fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) ->
 /// * `crates/core/src/stages.rs`: the wall-clock scan;
 /// * the two simulators in `crates/coherence/src/`: the
 ///   `.transition(` scan;
+/// * under `crates/core/src/`, `crates/runtime/src/` or
+///   `crates/serve/src/`: the grammar-snapshot scan;
 /// * anything else: exempt.
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintFinding> {
     let normalized = rel_path.replace('\\', "/");
-    if normalized.starts_with("crates/runtime/src/")
-        && !normalized.starts_with("crates/runtime/src/sync/")
-        && normalized.ends_with(".rs")
-    {
-        return scan(&normalized, source, RUNTIME_FORBIDDEN, true);
-    }
-    if normalized.starts_with("crates/serve/src/") && normalized.ends_with(".rs") {
-        let mut findings = if normalized.starts_with("crates/serve/src/bin/") {
-            Vec::new()
-        } else {
-            scan(&normalized, source, RUNTIME_FORBIDDEN, true)
-        };
-        findings.extend(scan(&normalized, source, SERVE_FORBIDDEN, false));
+    let path = normalized.as_str();
+    let mut findings = Vec::new();
+    if !path.ends_with(".rs") {
         return findings;
     }
-    if normalized == "crates/core/src/stages.rs" {
-        return scan(&normalized, source, STAGES_FORBIDDEN, false);
+    let runtime =
+        path.starts_with("crates/runtime/src/") && !path.starts_with("crates/runtime/src/sync/");
+    let serve = path.starts_with("crates/serve/src/");
+    if runtime || (serve && !path.starts_with("crates/serve/src/bin/")) {
+        findings.extend(scan(path, source, RUNTIME_FORBIDDEN, true));
     }
-    if SIMULATOR_FILES.contains(&normalized.as_str()) {
-        return scan(&normalized, source, SIMULATOR_FORBIDDEN, false);
+    if serve {
+        findings.extend(scan(path, source, SERVE_FORBIDDEN, false));
     }
-    Vec::new()
+    if path == "crates/core/src/stages.rs" {
+        findings.extend(scan(path, source, STAGES_FORBIDDEN, false));
+    }
+    if SIMULATOR_FILES.contains(&path) {
+        findings.extend(scan(path, source, SIMULATOR_FORBIDDEN, false));
+    }
+    if SNAPSHOT_DIRS.iter().any(|dir| path.starts_with(dir)) {
+        findings.extend(scan(path, source, SNAPSHOT_FORBIDDEN, false));
+    }
+    findings
 }
 
 fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
@@ -263,13 +286,13 @@ fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
 /// `Ok` payload, not errors.
 pub fn lint_tree(repo_root: &Path) -> io::Result<Vec<LintFinding>> {
     let mut files = Vec::new();
-    for src in ["crates/runtime/src", "crates/serve/src"] {
-        let dir = repo_root.join(src);
+    for dir in SNAPSHOT_DIRS {
+        let dir = repo_root.join(dir);
         if dir.is_dir() {
             walk(&dir, &mut files)?;
         }
     }
-    for single in std::iter::once(&"crates/core/src/stages.rs").chain(SIMULATOR_FILES) {
+    for single in SIMULATOR_FILES {
         let path = repo_root.join(single);
         if path.is_file() {
             files.push(path);
@@ -426,10 +449,51 @@ mod tests {
     }
 
     #[test]
+    fn grammar_snapshots_stay_out_of_product_code() {
+        for path in [
+            "crates/core/src/engine.rs",
+            "crates/runtime/src/pipeline.rs",
+            "crates/serve/src/shard.rs",
+            "crates/serve/src/bin/serve.rs",
+        ] {
+            for (src, token) in [
+                (
+                    "fn f(s: &Sequitur) -> usize { s.grammar().rule_count() }\n",
+                    ".grammar()",
+                ),
+                (
+                    "fn f(e: Engine) -> Grammar { e.seq.into_grammar() }\n",
+                    "into_grammar(",
+                ),
+            ] {
+                let findings = lint_file(path, src);
+                assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+                assert_eq!(findings[0].token, token);
+            }
+        }
+        // Tests keep the snapshot as their oracle, prose may name it,
+        // and crates outside the product paths are out of scope.
+        let src = "fn f(s: &Sequitur) { s.grammar(); }\n";
+        let test_only = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(lint_file("crates/core/src/streams.rs", &test_only).is_empty());
+        assert!(lint_file(
+            "crates/core/src/streams.rs",
+            "/// Equal to a walk over `seq.grammar()`.\n"
+        )
+        .is_empty());
+        assert!(lint_file("crates/sequitur/src/builder.rs", src).is_empty());
+        assert!(lint_file("crates/bench/src/bin/reproduce.rs", src).is_empty());
+        // The rule stacks on the stages' wall-clock rule.
+        let both = format!("{src}fn t() {{ Instant::now(); }}\n");
+        assert_eq!(lint_file("crates/core/src/stages.rs", &both).len(), 2);
+    }
+
+    #[test]
     fn real_tree_is_clean() {
         // The actual repo must pass its own lint: the whole runtime
-        // goes through the shim, stages never read the clock, and the
-        // simulators never scan a protocol table.
+        // goes through the shim, stages never read the clock, the
+        // simulators never scan a protocol table, and no product path
+        // builds a grammar snapshot.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let findings = lint_tree(&root).expect("tree readable");
         assert!(

@@ -15,10 +15,12 @@
 //! - a per-function miss counter ([`OriginTable`]: direct-indexed
 //!   dense array with a hashmap spill);
 //! - a monotone [`version()`](AnalysisEngine::version) and two
-//!   version-keyed memoized root walks: the counts-only walk of the
-//!   live builder behind [`stream_counts`](AnalysisEngine::stream_counts)
-//!   and the labelled walk of a grammar snapshot behind
-//!   [`stream_analysis`](AnalysisEngine::stream_analysis).
+//!   version-keyed memoized folds of the one root walk
+//!   ([`crate::streams`]), both reading the live builder in place: the
+//!   counts behind [`stream_counts`](AnalysisEngine::stream_counts) and
+//!   the per-miss labels behind
+//!   [`stream_analysis`](AnalysisEngine::stream_analysis). No path
+//!   copies the builder into a `Grammar` snapshot.
 //!
 //! # Feeding modes and bit-identity
 //!
@@ -26,13 +28,12 @@
 //! [`push_records`](AnalysisEngine::push_records) may be interleaved
 //! freely with the snapshot accessors. Because the live SEQUITUR
 //! builder over an ingest prefix holds the batch grammar of that
-//! prefix, and both root walks are pure functions of (grammar,
-//! records),
+//! prefix, and the root walk is a pure function of (grammar, records),
 //! **any interleaving of pushes and snapshots yields bit-identical
 //! answers to one batch feed of the same records** — the differential
 //! property test (`crates/core/tests/engine_differential.rs`) and the
 //! `engine-diff` CI gate pin this for K-chunked feeds at K ∈ {1, 2, 7}.
-//! The batch pipeline calls the same engine in feed-all-then-snapshot
+//! The batch pipeline calls the same engine in feed-all-then-walk
 //! mode via [`batch_stream_analysis`].
 //!
 //! # Version / memoization contract
@@ -253,10 +254,10 @@ pub struct AnalysisEngine<C: Copy = MissClass> {
     ingested: u64,
     /// Records past `max_retained` (analyzed for coverage/origins only).
     overflow: u64,
-    /// Counts-only walk of the live builder, memoized at a version.
+    /// Counts fold of the root walk, memoized at a version.
     counts_cache: Option<(u64, StreamCounts)>,
-    /// Labelled root walk over a grammar snapshot, memoized at a
-    /// version; valid while the engine has not ingested past it.
+    /// Labelled fold of the root walk, memoized at a version; valid
+    /// while the engine has not ingested past it.
     snapshot: Option<(u64, StreamAnalysis)>,
     /// Joint stride × stream breakdown memoized at a version.
     joint_cache: Option<(u64, StrideJointReport)>,
@@ -369,24 +370,25 @@ impl<C: Copy> AnalysisEngine<C> {
 
     /// The full root-walk analysis (labels, occurrences, distributions)
     /// of the retained records at the current version — bit-identical
-    /// to batch-analyzing those records. Walks a grammar snapshot;
-    /// memoized per the module-level version contract.
+    /// to batch-analyzing those records. The labelled fold of the root
+    /// walk (`streams::label_streams`) over the live builder, read in
+    /// place; memoized per the module-level version contract.
     pub fn stream_analysis(&mut self) -> &StreamAnalysis {
         let fresh = matches!(&self.snapshot, Some((v, _)) if *v == self.ingested);
         if !fresh {
-            let grammar = self.seq.grammar();
-            let analysis = StreamAnalysis::of_grammar(&grammar, &self.records, self.max_cpu + 1);
+            let analysis =
+                crate::streams::label_streams(&self.seq, &self.records, self.max_cpu + 1);
             self.snapshot = Some((self.ingested, analysis));
             self.walks += 1;
         }
         &self.snapshot.as_ref().expect("refreshed above").1
     }
 
-    /// Stream-fraction counts at the current version: the counts-only
-    /// walk of the live builder ([`crate::streams::count_streams`]),
-    /// which takes no grammar snapshot and reads no records. Memoized;
-    /// the walk only runs when the engine ingested since the previous
-    /// read.
+    /// Stream-fraction counts at the current version: the counts fold
+    /// of the root walk over the live builder
+    /// ([`crate::streams::count_streams`]), which reads no records.
+    /// Memoized; the walk only runs when the engine ingested since the
+    /// previous read.
     pub fn stream_counts(&mut self) -> StreamCounts {
         match self.counts_cache {
             Some((version, counts)) if version == self.ingested => counts,
@@ -459,21 +461,13 @@ impl<C: Copy> AnalysisEngine<C> {
     pub fn node_arena_len(&self) -> usize {
         self.seq.node_arena_len()
     }
-
-    /// Consumes the engine, yielding the final grammar — the terminal
-    /// snapshot of feed-all-then-snapshot mode. Cheaper than a live
-    /// [`stream_analysis`](Self::stream_analysis) snapshot (no rule
-    /// copy) and exactly the batch pipeline's historical code path.
-    pub fn into_grammar(self) -> tempstream_sequitur::Grammar {
-        self.seq.into_grammar()
-    }
 }
 
-/// Feed-all-then-snapshot batch mode: runs one streams-only engine over
-/// `records` and returns the full [`StreamAnalysis`], exporting the
-/// grammar-inference metrics (`sequitur/*` spans/counters/gauges and
-/// the `streams/*` histograms) exactly as the batch pipeline always
-/// has. This is the engine behind
+/// Feed-all-then-walk batch mode: runs one streams-only engine over
+/// `records` and returns the labelled root walk of its builder, frozen
+/// in place, exporting the grammar-inference metrics (`sequitur/*`
+/// spans/counters/gauges, the grammar stats read from the same frozen
+/// builder, and the `streams/*` histograms). This is the engine behind
 /// [`StreamAnalysis::of_records`] — the batch pipeline, the runtime's
 /// Analyze jobs, and the benches all route here.
 pub fn batch_stream_analysis<C: Copy>(records: &[MissRecord<C>], num_cpus: u32) -> StreamAnalysis {
@@ -495,10 +489,12 @@ pub fn batch_stream_analysis<C: Copy>(records: &[MissRecord<C>], num_cpus: u32) 
     registry
         .gauge("sequitur/node_arena")
         .set_max(engine.node_arena_len() as u64);
-    let grammar = engine.into_grammar();
+    // What follows reads only the grammar and `records`: free the rest
+    // of the engine (its record copy, the digram index) first.
+    let grammar = std::mem::take(&mut engine.seq).freeze();
+    drop(engine);
     tempstream_sequitur::GrammarStats::of(&grammar).export(registry, "sequitur");
-
-    let analysis = StreamAnalysis::of_grammar(&grammar, records, num_cpus);
+    let analysis = crate::streams::label_streams(&grammar, records, num_cpus);
 
     let len_hist = registry.histogram("streams/occurrence_len");
     let reuse_hist = registry.histogram("streams/reuse_distance");

@@ -3,15 +3,17 @@
 //!
 //! This is the property that lets the batch pipeline, the online
 //! server, and the offline comparator all share one
-//! [`AnalysisEngine`]: a SEQUITUR grammar snapshot over an ingest
-//! prefix equals the batch grammar of that prefix, the root walk is a
-//! pure function of (grammar, records), and the engine's version-keyed
+//! [`AnalysisEngine`]: the live SEQUITUR builder over an ingest prefix
+//! holds the batch grammar of that prefix, the root walk is a pure
+//! function of (grammar, records), and the engine's version-keyed
 //! memoization may never change an answer — only skip recomputing it.
 
+use std::collections::HashMap;
 use tempstream_coherence::{MultiChipConfig, MultiChipSim, SingleChipConfig, SingleChipSim};
 use tempstream_core::engine::{AnalysisEngine, CoverageCounts, EngineConfig, StreamCounts};
 use tempstream_core::report::StrideJointReport;
 use tempstream_core::stages::emit_workload;
+use tempstream_core::streams::StreamOccurrence;
 use tempstream_core::StreamAnalysis;
 use tempstream_sequitur::Sequitur;
 use tempstream_trace::miss::MissRecord;
@@ -216,18 +218,25 @@ fn engine_snapshot_matches_batch_stages() {
     assert_eq!(analysis.labels(), partial.labels.as_slice());
 }
 
-// --- The counts-only walk against the labelled walk -----------------
+// --- The live walks against the snapshot walk -----------------------
 //
-// `stream_counts()` walks the live builder in place; the labelled walk
-// (`StreamAnalysis::of_grammar`) runs over a grammar snapshot. The
-// server and its offline comparator both answer from the counts walk,
-// so these tests are what ties it to the paper's definition.
+// `stream_counts()` and `stream_analysis()` fold one root walk over the
+// live builder, read in place; `StreamAnalysis::of_grammar` runs the
+// same walk over a `Grammar` snapshot, whose contiguous rule ids and
+// copied bodies share nothing with the builder's. The server and its
+// offline comparator both answer from the counts fold, and the batch
+// pipeline from the labelled fold, so these tests are what ties them to
+// the paper's definition over a finished grammar.
 
-/// The labelled walk's totals over a snapshot of `seq`, which must have
-/// been fed exactly the blocks of `retained`.
-fn labelled_counts<C: Copy>(seq: &Sequitur, retained: &[MissRecord<C>]) -> StreamCounts {
+/// The labelled walk over a snapshot of `seq`, which must have been fed
+/// exactly the blocks of `retained`.
+fn snapshot_analysis<C: Copy>(seq: &Sequitur, retained: &[MissRecord<C>]) -> StreamAnalysis {
     let num_cpus = retained.iter().map(|r| r.cpu.raw()).max().unwrap_or(0) + 1;
-    let analysis = StreamAnalysis::of_grammar(&seq.grammar(), retained, num_cpus);
+    StreamAnalysis::of_grammar(&seq.grammar(), retained, num_cpus)
+}
+
+/// An analysis's totals, in the counts fold's form.
+fn labelled_counts(analysis: &StreamAnalysis) -> StreamCounts {
     let (non_repetitive, new_stream, recurring_stream) = analysis.label_counts();
     StreamCounts {
         non_repetitive,
@@ -237,9 +246,55 @@ fn labelled_counts<C: Copy>(seq: &Sequitur, retained: &[MissRecord<C>]) -> Strea
     }
 }
 
+/// Asserts that `live` and `snapshot` list the same occurrences up to a
+/// one-to-one renaming of rule ids: the builder's internal ids against
+/// the snapshot's contiguous ones.
+fn assert_occurrences_match(live: &[StreamOccurrence], snapshot: &[StreamOccurrence], what: &str) {
+    assert_eq!(live.len(), snapshot.len(), "{what}: occurrence count");
+    let mut forward = HashMap::new();
+    let mut backward = HashMap::new();
+    for (i, (l, s)) in live.iter().zip(snapshot).enumerate() {
+        assert_eq!(
+            (l.start, l.len, l.new, l.reuse_distance),
+            (s.start, s.len, s.new, s.reuse_distance),
+            "{what}: occurrence {i}"
+        );
+        assert_eq!(
+            *forward.entry(l.rule).or_insert(s.rule),
+            s.rule,
+            "{what}: occurrence {i} renames a live rule twice"
+        );
+        assert_eq!(
+            *backward.entry(s.rule).or_insert(l.rule),
+            l.rule,
+            "{what}: occurrence {i} merges two live rules"
+        );
+    }
+}
+
+/// Asserts that both live folds of `engine` agree with the snapshot walk
+/// of `seq`, which must have been fed exactly the blocks of `retained`.
+fn assert_live_matches_snapshot<C: Copy>(
+    engine: &mut AnalysisEngine<C>,
+    seq: &Sequitur,
+    retained: &[MissRecord<C>],
+    what: &str,
+) {
+    let want = snapshot_analysis(seq, retained);
+    assert_eq!(engine.stream_counts(), labelled_counts(&want), "{what}");
+    let live = engine.stream_analysis();
+    assert_eq!(live.labels(), want.labels(), "{what}: labels");
+    assert_eq!(
+        live.distinct_streams(),
+        want.distinct_streams(),
+        "{what}: distinct streams"
+    );
+    assert_occurrences_match(live.occurrences(), want.occurrences(), what);
+}
+
 /// Feeds `records` to an engine in `k` chunks and to a reference
-/// builder beside it (up to the retention cap), and compares the two
-/// walks at every chunk boundary.
+/// builder beside it (up to the retention cap), and compares the live
+/// walks with the snapshot walk at every chunk boundary.
 fn assert_walks_agree_chunked<C: Copy>(
     records: &[MissRecord<C>],
     k: usize,
@@ -257,16 +312,18 @@ fn assert_walks_agree_chunked<C: Copy>(
         for r in &retained[seq.input_len() as usize..] {
             seq.push(r.block.raw());
         }
-        assert_eq!(
-            engine.stream_counts(),
-            labelled_counts(&seq, retained),
-            "{what}: k={k} prefix {fed}"
+        assert_live_matches_snapshot(
+            &mut engine,
+            &seq,
+            retained,
+            &format!("{what}: k={k} prefix {fed}"),
         );
     }
-    assert_eq!(
-        engine.stream_counts(),
-        labelled_counts(&seq, &records[..records.len().min(config.max_retained)]),
-        "{what}: k={k} final"
+    assert_live_matches_snapshot(
+        &mut engine,
+        &seq,
+        &records[..records.len().min(config.max_retained)],
+        &format!("{what}: k={k} final"),
     );
 }
 

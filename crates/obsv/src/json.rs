@@ -365,15 +365,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|r| r.chars().next())
-                        .ok_or_else(|| self.err("invalid utf-8"))?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // character boundary of the input `&str` and each
+                    // byte is validated once.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    let text =
+                        std::str::from_utf8(&run[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    s.push_str(text);
+                    self.pos += len;
                 }
             }
         }
@@ -485,6 +489,35 @@ mod tests {
             ]))
         );
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn parses_a_large_flat_document() {
+        // As many keys as the serve loopback test's oversized registry,
+        // each mixing multi-byte characters and escapes into its runs.
+        let entries: Vec<(String, Json)> = (0..24_000u64)
+            .map(|i| {
+                let key = format!("serve/conn/{i}/fr\u{e9}mes \"q\" \u{2192} \\{i}\n");
+                (key, Json::UInt(i))
+            })
+            .collect();
+        let doc = Json::Obj(entries);
+        let text = doc.render();
+        assert!(text.len() > 1 << 20, "{} bytes", text.len());
+        assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn parses_a_deeply_nested_document() {
+        let mut doc = Json::Str("leaf \u{e9}\t\\".into());
+        for depth in 0..512u64 {
+            doc = if depth % 2 == 0 {
+                Json::Obj(vec![(format!("level {depth} \u{2192}"), doc)])
+            } else {
+                Json::Arr(vec![Json::UInt(depth), doc, Json::Null])
+            };
+        }
+        assert_eq!(parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`Registry::snapshot`] nests them into a JSON object tree. Keys are
 //! kept in a `BTreeMap`, so snapshots are deterministically ordered.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -320,53 +320,122 @@ impl Registry {
 /// Nests `/`-separated names into an object tree. Input must be sorted
 /// by name (it comes out of a `BTreeMap`), which keeps output order
 /// deterministic.
+///
+/// The result is exactly that of inserting each name in turn into a
+/// [`Json`] tree with [`Json::set`]; building it in a [`Tree`], whose
+/// nodes index their keys, makes each step of a path O(1) instead of a
+/// scan of that node's siblings.
 fn nest(entries: impl Iterator<Item = (String, Json)>) -> Json {
-    let mut root = Json::obj();
+    let mut root = Tree::default();
     for (name, value) in entries {
-        insert_path(&mut root, &name, value);
+        root.insert_path(&name, value);
     }
-    root
+    root.into_json()
 }
 
-fn insert_path(node: &mut Json, path: &str, value: Json) {
-    match path.split_once('/') {
-        None => {
-            // Leaf. If a subtree already grew here (sorted order means
-            // "a" sorts before "a/b", so normally the leaf lands
-            // first), tuck the leaf under "self".
-            if let Some(existing) = node.get(path) {
-                if matches!(existing, Json::Obj(_)) && !matches!(value, Json::Obj(_)) {
-                    let Json::Obj(entries) = node else {
-                        unreachable!()
-                    };
-                    let sub = entries
-                        .iter_mut()
-                        .find(|(k, _)| k == path)
-                        .map(|(_, v)| v)
-                        .expect("entry just found");
-                    sub.set("self", value);
-                    return;
-                }
+/// A [`Json`] object under construction, with an index from each key to
+/// its first entry (the one [`Json::get`] finds).
+#[derive(Default)]
+struct Tree {
+    entries: Vec<(String, Slot)>,
+    index: HashMap<String, usize>,
+}
+
+/// One entry of a [`Tree`]: a value as inserted, or an object that a
+/// path has descended into.
+enum Slot {
+    Value(Json),
+    Tree(Tree),
+}
+
+impl Slot {
+    /// Whether the [`Json`] tree holds an object here.
+    fn is_obj(&self) -> bool {
+        matches!(self, Slot::Tree(_) | Slot::Value(Json::Obj(_)))
+    }
+
+    /// The object here as a [`Tree`], indexing an object value on first
+    /// use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no object.
+    fn tree(&mut self) -> &mut Tree {
+        if let Slot::Value(Json::Obj(entries)) = self {
+            let mut tree = Tree::default();
+            for (key, value) in std::mem::take(entries) {
+                tree.push(key, Slot::Value(value));
             }
-            node.set(path, value);
+            *self = Slot::Tree(tree);
         }
-        Some((head, rest)) => {
-            let Json::Obj(entries) = node else {
-                unreachable!()
-            };
-            let sub = if let Some(i) = entries.iter().position(|(k, _)| k == head) {
-                // A leaf already named `head`: demote it to "self".
-                if !matches!(entries[i].1, Json::Obj(_)) {
-                    let leaf = std::mem::replace(&mut entries[i].1, Json::obj());
-                    entries[i].1.set("self", leaf);
+        match self {
+            Slot::Tree(tree) => tree,
+            Slot::Value(_) => panic!("descending into a non-object"),
+        }
+    }
+}
+
+impl Tree {
+    /// Appends an entry and returns its position.
+    fn push(&mut self, key: String, slot: Slot) -> usize {
+        let i = self.entries.len();
+        self.index.entry(key.clone()).or_insert(i);
+        self.entries.push((key, slot));
+        i
+    }
+
+    /// [`Json::set`]: replaces the entry for `key` in place, or appends
+    /// one.
+    fn set(&mut self, key: &str, slot: Slot) {
+        match self.index.get(key) {
+            Some(&i) => self.entries[i].1 = slot,
+            None => {
+                self.push(key.to_string(), slot);
+            }
+        }
+    }
+
+    fn insert_path(&mut self, path: &str, value: Json) {
+        match path.split_once('/') {
+            None => {
+                // Leaf. If a subtree already grew here (sorted order
+                // means "a" sorts before "a/b", so normally the leaf
+                // lands first), tuck the leaf under "self".
+                if let Some(&i) = self.index.get(path) {
+                    let existing = &mut self.entries[i].1;
+                    if existing.is_obj() && !matches!(value, Json::Obj(_)) {
+                        existing.tree().set("self", Slot::Value(value));
+                        return;
+                    }
                 }
-                &mut entries[i].1
-            } else {
-                entries.push((head.to_string(), Json::obj()));
-                &mut entries.last_mut().expect("just pushed").1
-            };
-            insert_path(sub, rest, value);
+                self.set(path, Slot::Value(value));
+            }
+            Some((head, rest)) => {
+                let i = match self.index.get(head) {
+                    Some(&i) => i,
+                    None => self.push(head.to_string(), Slot::Tree(Tree::default())),
+                };
+                let sub = &mut self.entries[i].1;
+                // A leaf already named `head`: demote it to "self".
+                if !sub.is_obj() {
+                    let leaf = std::mem::replace(sub, Slot::Tree(Tree::default()));
+                    sub.tree().set("self", leaf);
+                }
+                sub.tree().insert_path(rest, value);
+            }
         }
+    }
+
+    fn into_json(self) -> Json {
+        Json::Obj(
+            self.entries
+                .into_iter()
+                .map(|(key, slot)| match slot {
+                    Slot::Value(value) => (key, value),
+                    Slot::Tree(tree) => (key, tree.into_json()),
+                })
+                .collect(),
+        )
     }
 }
 
@@ -509,5 +578,68 @@ mod tests {
         g.counter("obsv_test/global").add(5);
         assert_eq!(global().counter("obsv_test/global").get(), 5);
         g.clear();
+    }
+
+    #[test]
+    fn nest_keeps_sorted_order_and_demotes_leaves_under_self() {
+        // `a-x` and `a.y/z` sort between the leaf `a` and the subtree
+        // `a/b` (`-` and `.` sort before `/`), so the leaf `a` is not the
+        // last sibling when `a/b` demotes it under "self"; `a/b` is
+        // demoted in turn by `a/b/c`.
+        let names = ["a", "a-x", "a.y/z", "a/b", "a/b/c", "a/b/d/e", "a/c", "b"];
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "input is sorted");
+        let tree = nest(
+            names
+                .iter()
+                .zip(0u64..)
+                .map(|(name, i)| ((*name).to_string(), Json::UInt(i))),
+        );
+        assert_eq!(
+            tree.render(),
+            r#"{"a":{"self":0,"b":{"self":3,"c":4,"d":{"e":5}},"c":6},"a-x":1,"a.y":{"z":2},"b":7}"#
+        );
+    }
+
+    #[test]
+    fn snapshot_render_of_a_fixed_registry_is_pinned() {
+        // Recorded with the sibling-scanning nesting this one replaced.
+        // Histograms and spans are objects themselves, so `streams/len`
+        // nests inside the `streams` histogram's own object.
+        let r = Registry::new();
+        for (name, n) in [
+            ("sim/web/apache/reads", 5),
+            ("sim/web/apache", 1),
+            ("sim/db/oltp/writes", 2),
+            ("a", 1),
+            ("a-x", 2),
+            ("a/b", 3),
+            ("a/b/c", 4),
+        ] {
+            r.counter(name).add(n);
+        }
+        r.gauge("sequitur/rules").set(9);
+        r.gauge("sequitur").set(1);
+        r.gauge("z.q/r").set(3);
+        r.histogram("streams").record(1);
+        for v in [0, 3, 1024] {
+            r.histogram("streams/len").record(v);
+        }
+        r.histogram("streams/len/tail").record(7);
+        r.span("stage/simulate").record(Duration::from_nanos(1500));
+        r.span("stage").record(Duration::from_micros(2));
+        assert_eq!(
+            r.snapshot().render(),
+            concat!(
+                r#"{"counters":{"a":{"self":1,"b":{"self":3,"c":4}},"a-x":2,"#,
+                r#""sim":{"db":{"oltp":{"writes":2}},"web":{"apache":{"self":1,"reads":5}}}},"#,
+                r#""gauges":{"sequitur":{"self":1,"rules":9},"z.q":{"r":3}},"#,
+                r#""histograms":{"streams":{"count":1,"sum":1,"min":1,"max":1,"mean":1,"#,
+                r#""buckets":{"1":1},"len":{"count":3,"sum":1027,"min":0,"max":1024,"#,
+                r#""mean":342.3333333333333,"buckets":{"0":1,"2":1,"1024":1},"#,
+                r#""tail":{"count":1,"sum":7,"min":7,"max":7,"mean":7,"buckets":{"4":1}}}}},"#,
+                r#""spans":{"stage":{"count":1,"total_nanos":2000,"max_nanos":2000,"#,
+                r#""simulate":{"count":1,"total_nanos":1500,"max_nanos":1500}}}}"#,
+            )
+        );
     }
 }

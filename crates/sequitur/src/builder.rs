@@ -25,7 +25,7 @@
 //! it is for the transient digrams a substitution forms and breaks, and
 //! otherwise removes the known slot without comparing keys.
 
-use crate::grammar::{Grammar, GrammarSymbol, RuleId};
+use crate::grammar::{Grammar, GrammarSymbol, GrammarView, RuleId};
 use crate::index::{DigramIndex, Keys, NodeId};
 use std::fmt;
 use std::hash::BuildHasher;
@@ -148,12 +148,24 @@ struct RuleData {
 }
 
 /// The symbols of one live rule body, read in place: returned by
-/// [`Sequitur::body`].
+/// [`Sequitur::body`] and by [`FrozenGrammar`]'s [`GrammarView::body`].
 #[derive(Debug, Clone)]
 pub struct Body<'a> {
     nodes: &'a [Node],
     guard: NodeId,
     cur: NodeId,
+}
+
+impl<'a> Body<'a> {
+    fn of(nodes: &'a [Node], rules: &[RuleData], rule: RuleId) -> Self {
+        let data = &rules[rule.index()];
+        debug_assert!(data.alive, "body of deleted rule {rule}");
+        Body {
+            nodes,
+            guard: data.guard,
+            cur: nodes[data.guard as usize].next,
+        }
+    }
 }
 
 impl Iterator for Body<'_> {
@@ -172,6 +184,46 @@ impl Iterator for Body<'_> {
             // A terminal's word is its value (tag 0).
             None => GrammarSymbol::Terminal(n.sym.0),
         })
+    }
+}
+
+/// The live builder read in place, through [`Sequitur::body`] and
+/// [`Sequitur::rule_bound`].
+impl<H: BuildHasher> GrammarView for Sequitur<H> {
+    type Body<'a>
+        = Body<'a>
+    where
+        H: 'a;
+
+    fn rule_bound(&self) -> usize {
+        self.rule_bound()
+    }
+
+    fn body(&self, rule: RuleId) -> Body<'_> {
+        self.body(rule)
+    }
+}
+
+/// A finished build's grammar, read in place: the node arena and rule
+/// table of a [`Sequitur`], without the state only pushing reads (the
+/// digram index and the free-node list). Made by [`Sequitur::freeze`];
+/// reads like the builder through [`GrammarView`], with the builder's
+/// internal rule ids.
+#[derive(Debug, Clone)]
+pub struct FrozenGrammar {
+    nodes: Vec<Node>,
+    rules: Vec<RuleData>,
+}
+
+impl GrammarView for FrozenGrammar {
+    type Body<'a> = Body<'a>;
+
+    fn rule_bound(&self) -> usize {
+        self.rules.len()
+    }
+
+    fn body(&self, rule: RuleId) -> Body<'_> {
+        Body::of(&self.nodes, &self.rules, rule)
     }
 }
 
@@ -311,6 +363,16 @@ impl<H: BuildHasher> Sequitur<H> {
         self.grammar()
     }
 
+    /// Consumes the builder, keeping only what reading its grammar
+    /// needs. Unlike [`into_grammar`](Self::into_grammar) it copies
+    /// nothing, and it frees the digram index at once.
+    pub fn freeze(self) -> FrozenGrammar {
+        FrozenGrammar {
+            nodes: self.nodes,
+            rules: self.rules,
+        }
+    }
+
     /// Snapshots the current grammar without consuming the builder, with
     /// contiguously renumbered rules (root first).
     ///
@@ -370,13 +432,7 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Panics if `rule` is at or past [`rule_bound`](Self::rule_bound);
     /// debug builds also panic if `rule` was deleted.
     pub fn body(&self, rule: RuleId) -> Body<'_> {
-        let data = &self.rules[rule.index()];
-        debug_assert!(data.alive, "body of deleted rule {rule}");
-        Body {
-            nodes: &self.nodes,
-            guard: data.guard,
-            cur: self.nodes[data.guard as usize].next,
-        }
+        Body::of(&self.nodes, &self.rules, rule)
     }
 
     // --- node & rule management ------------------------------------------

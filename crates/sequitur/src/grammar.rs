@@ -55,6 +55,28 @@ impl fmt::Display for GrammarSymbol {
     }
 }
 
+/// Read-only access to a grammar's rule bodies.
+///
+/// The finished [`Grammar`], the live [`Sequitur`](crate::Sequitur)
+/// builder and a [`FrozenGrammar`](crate::FrozenGrammar) implement it,
+/// so one traversal serves each. Rule ids are indices below
+/// [`rule_bound`](Self::rule_bound): contiguous in a [`Grammar`], the
+/// builder's internal ids otherwise (see
+/// [`Sequitur::body`](crate::Sequitur::body)).
+pub trait GrammarView {
+    /// The iterator [`body`](Self::body) returns.
+    type Body<'a>: Iterator<Item = GrammarSymbol>
+    where
+        Self: 'a;
+
+    /// One past the largest rule id [`body`](Self::body) accepts or
+    /// yields: the length of a table indexed by rule id.
+    fn rule_bound(&self) -> usize;
+
+    /// The right-hand side of `rule`, in order.
+    fn body(&self, rule: RuleId) -> Self::Body<'_>;
+}
+
 /// A finished SEQUITUR grammar: rule 0 is the root; every other rule is a
 /// subsequence that occurred at least twice in the input (a temporal
 /// stream).
@@ -167,22 +189,17 @@ impl Grammar {
     pub fn reconstruct(&self) -> Vec<u64> {
         self.expand(RuleId::ROOT)
     }
+}
 
-    /// Total number of symbols across all rule bodies (the grammar's
-    /// compressed size).
-    pub fn grammar_size(&self) -> usize {
-        self.bodies.iter().map(Vec::len).sum()
+impl GrammarView for Grammar {
+    type Body<'a> = std::iter::Copied<std::slice::Iter<'a, GrammarSymbol>>;
+
+    fn rule_bound(&self) -> usize {
+        self.rule_count()
     }
 
-    /// Compression ratio: input length / grammar size. Returns 0.0 for an
-    /// empty grammar.
-    pub fn compression_ratio(&self) -> f64 {
-        let size = self.grammar_size();
-        if size == 0 {
-            0.0
-        } else {
-            self.expansion_len(RuleId::ROOT) as f64 / size as f64
-        }
+    fn body(&self, rule: RuleId) -> Self::Body<'_> {
+        self.rule_body(rule).iter().copied()
     }
 }
 
@@ -229,9 +246,9 @@ mod tests {
 
     #[test]
     fn grammar_size_and_ratio() {
-        let g = sample();
-        assert_eq!(g.grammar_size(), 5);
-        assert!((g.compression_ratio() - 1.0).abs() < 1e-12);
+        let stats = crate::GrammarStats::of(&sample());
+        assert_eq!(stats.grammar_size, 5);
+        assert!((stats.compression_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,6 +32,6 @@ mod grammar;
 mod index;
 pub mod stats;
 
-pub use builder::{Body, Sequitur};
-pub use grammar::{Grammar, GrammarSymbol, RuleId};
+pub use builder::{Body, FrozenGrammar, Sequitur};
+pub use grammar::{Grammar, GrammarSymbol, GrammarView, RuleId};
 pub use stats::GrammarStats;

@@ -1,10 +1,11 @@
-//! Grammar statistics: structural summaries of a finished SEQUITUR run.
+//! Grammar statistics: structural summaries of a SEQUITUR grammar.
 
-use crate::grammar::{Grammar, GrammarSymbol, RuleId};
+use crate::grammar::{GrammarSymbol, GrammarView, RuleId};
 use std::fmt;
+use tempstream_fxhash::FxHashSet;
 
 /// Structural summary of a grammar.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GrammarStats {
     /// Rules including the root.
     pub rule_count: usize,
@@ -21,28 +22,61 @@ pub struct GrammarStats {
 }
 
 impl GrammarStats {
-    /// Computes the summary in one pass over the grammar.
-    pub fn of(grammar: &Grammar) -> Self {
-        let mut alphabet = std::collections::HashSet::new();
-        let mut max_expansion = 0;
-        for rule in grammar.rule_ids() {
-            if !rule.is_root() {
-                max_expansion = max_expansion.max(grammar.expansion_len(rule));
-            }
-            for sym in grammar.rule_body(rule) {
-                if let GrammarSymbol::Terminal(t) = sym {
-                    alphabet.insert(*t);
+    /// Computes the summary in one post-order pass from the root, on an
+    /// explicit stack, over a finished grammar or the live builder.
+    /// Every rule of a SEQUITUR grammar is reachable from the root, so
+    /// the pass reads each rule body exactly once.
+    pub fn of<G: GrammarView>(grammar: &G) -> Self {
+        let mut stats = GrammarStats::default();
+        let mut alphabet = FxHashSet::default();
+        // slot_of[r]: 1 + rule r's index in `done` once finished, 0 before.
+        // A live builder's rule ids run far past its live rules, so the
+        // per-rule results are stored densely.
+        let mut slot_of = vec![0u32; grammar.rule_bound()];
+        // (expansion length, nesting depth) of each finished rule.
+        let mut done: Vec<(u64, u32)> = Vec::new();
+        // Rules in progress, each with its body cursor, length and depth
+        // so far.
+        let mut stack = vec![(RuleId::ROOT, grammar.body(RuleId::ROOT), 0u64, 0u32)];
+        while let Some((_, body, len, depth)) = stack.last_mut() {
+            match body.next() {
+                Some(GrammarSymbol::Terminal(t)) => {
+                    stats.grammar_size += 1;
+                    *len += 1;
+                    alphabet.insert(t);
+                }
+                Some(GrammarSymbol::Rule(sub)) => {
+                    stats.grammar_size += 1;
+                    match slot_of[sub.index()] {
+                        0 => stack.push((sub, grammar.body(sub), 0, 0)),
+                        n => {
+                            let (sub_len, sub_depth) = done[n as usize - 1];
+                            *len += sub_len;
+                            *depth = (*depth).max(sub_depth + 1);
+                        }
+                    }
+                }
+                None => {
+                    let (rule, _, len, depth) = stack.pop().expect("checked above");
+                    done.push((len, depth));
+                    slot_of[rule.index()] = u32::try_from(done.len()).expect("rule count");
+                    match stack.last_mut() {
+                        Some((_, _, parent_len, parent_depth)) => {
+                            *parent_len += len;
+                            *parent_depth = (*parent_depth).max(depth + 1);
+                            stats.max_expansion = stats.max_expansion.max(len);
+                        }
+                        None => {
+                            stats.input_len = len;
+                            stats.max_depth = depth;
+                        }
+                    }
                 }
             }
         }
-        GrammarStats {
-            rule_count: grammar.rule_count(),
-            grammar_size: grammar.grammar_size(),
-            input_len: grammar.expansion_len(RuleId::ROOT),
-            max_expansion,
-            max_depth: depth_of(grammar),
-            alphabet: alphabet.len(),
-        }
+        stats.rule_count = done.len();
+        stats.alphabet = alphabet.len();
+        stats
     }
 
     /// Compression ratio (input length over grammar size).
@@ -92,47 +126,30 @@ impl fmt::Display for GrammarStats {
     }
 }
 
-/// Maximum nesting depth of rule references (root = 0). Iterative
-/// (memoized) to handle deep hierarchies.
-fn depth_of(grammar: &Grammar) -> u32 {
-    let n = grammar.rule_count();
-    let mut depth: Vec<Option<u32>> = vec![None; n];
-    let mut stack: Vec<(usize, bool)> = vec![(RuleId::ROOT.index(), false)];
-    while let Some((r, expanded)) = stack.pop() {
-        if depth[r].is_some() {
-            continue;
-        }
-        if expanded {
-            let mut d = 0;
-            for sym in grammar.rule_body(RuleId::new(r)) {
-                if let GrammarSymbol::Rule(sub) = sym {
-                    d = d.max(1 + depth[sub.index()].expect("children resolved"));
-                }
-            }
-            depth[r] = Some(d);
-        } else {
-            stack.push((r, true));
-            for sym in grammar.rule_body(RuleId::new(r)) {
-                if let GrammarSymbol::Rule(sub) = sym {
-                    if depth[sub.index()].is_none() {
-                        stack.push((sub.index(), false));
-                    }
-                }
-            }
-        }
-    }
-    depth[RuleId::ROOT.index()].unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Sequitur;
 
+    /// The stats of `input`'s grammar, read from the live builder.
+    /// At every prefix, the builder and its snapshot must give equal
+    /// stats, and so must the frozen builder at the end: the builder's
+    /// ids are sparse and its deleted rules stay in its id space, and
+    /// neither may show.
     fn stats_of(input: &[u64]) -> GrammarStats {
         let mut s = Sequitur::new();
-        s.extend(input.iter().copied());
-        GrammarStats::of(&s.into_grammar())
+        for (n, &sym) in input.iter().enumerate() {
+            assert_eq!(
+                GrammarStats::of(&s),
+                GrammarStats::of(&s.grammar()),
+                "prefix {n}"
+            );
+            s.push(sym);
+        }
+        let live = GrammarStats::of(&s);
+        assert_eq!(live, GrammarStats::of(&s.grammar()), "whole input");
+        assert_eq!(GrammarStats::of(&s.freeze()), live, "frozen");
+        live
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use tempstream_coherence::{MultiChipConfig, MultiChipSim, SingleChipConfig, SingleChipSim};
 use tempstream_core::stages::emit_workload;
-use tempstream_sequitur::{Grammar, GrammarSymbol, RuleId, Sequitur};
+use tempstream_sequitur::{Grammar, GrammarStats, GrammarSymbol, RuleId, Sequitur};
 use tempstream_trace::MissTrace;
 use tempstream_workloads::{Scale, Workload};
 
@@ -67,8 +67,12 @@ fn trace_grammar_digest<C: Copy>(trace: &MissTrace<C>) -> u64 {
     let mut s = Sequitur::new();
     s.extend(trace.records().iter().map(|r| r.block.raw()));
     let input_len = s.input_len();
-    let g = s.into_grammar();
+    let g = s.grammar();
     assert_eq!(g.expansion_len(RuleId::ROOT), input_len);
+    // The batch pipeline exports these stats from the frozen builder.
+    let stats = GrammarStats::of(&g);
+    assert_eq!(GrammarStats::of(&s), stats);
+    assert_eq!(GrammarStats::of(&s.freeze()), stats);
     grammar_digest(input_len, &g)
 }
 
