@@ -23,7 +23,8 @@
 #      in-tree load generator with --verify (online answers must match
 #      the offline batch comparator bit-exactly); the metrics snapshot
 #      must account for every frame received by its outcome and show
-#      every ingested record applied, and the server must drain cleanly.
+#      every ingested record applied and every cut timed per shard, and
+#      the server must drain cleanly.
 #      Run twice: half-duplex v1, then pipelined v2 (--window 8 with
 #      interleaved QueryDelta probes)
 #  11. serve throughput gate: over five alternating pairs of runs, each
@@ -154,7 +155,8 @@ echo "== serve soak: loopback ingest + verify + drain =="
 # the check bit-exact. The snapshot then proves every frame was
 # accounted for: the frames received equal those acked, refused with
 # Busy, answered with an error, queries and shutdowns, and every
-# ingested record was applied.
+# ingested record was applied; every query before the snapshot was a
+# cut timed once per shard and once for its merge.
 start_server "$det_dir/serve.out" "$det_dir/serve.err"
 [ -n "$serve_addr" ] \
   || { echo "serve soak FAILED: server never printed LISTENING"; cat "$det_dir/serve.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
@@ -171,7 +173,11 @@ jq -e '.verify == "exact"
               and $s.frames.received == $s.frames.acked + $s.frames.busy + $s.frames.errors
                                         + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
-       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
+       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied
+       and ((.metrics.counters.serve.queries - 1) as $cuts
+            | .metrics.histograms.serve.query
+            | [.shard0.answer_us.count, .shard1.answer_us.count, .merge_us.count]
+            | all(. == $cuts))' \
     "$det_dir/serve_metrics.json" >/dev/null \
   || { echo "serve soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve_metrics.json"; exit 1; }
 echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, $(jq -r '.metrics.counters.serve.frames.received' "$det_dir/serve_metrics.json") frames accounted for, clean drain"
@@ -199,7 +205,11 @@ jq -e '.verify == "exact"
               and $s.frames.received == $s.frames.acked + $s.frames.busy + $s.frames.errors
                                         + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
-       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
+       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied
+       and ((.metrics.counters.serve.queries - 1) as $cuts
+            | .metrics.histograms.serve.query
+            | [.shard0.answer_us.count, .shard1.answer_us.count, .merge_us.count]
+            | all(. == $cuts))' \
     "$det_dir/serve8_metrics.json" >/dev/null \
   || { echo "pipelined soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve8_metrics.json"; exit 1; }
 echo "pipelined soak: exact verify, $(jq -r '.delta_queries' "$det_dir/serve8_metrics.json") delta queries, clean drain"

@@ -44,10 +44,6 @@ fn main() {
     for finding in &findings {
         eprintln!("{finding}");
     }
-    eprintln!(
-        "lint-sources: {} finding(s). Route runtime synchronization through \
-         `crate::sync` so the schedule checker can see it.",
-        findings.len()
-    );
+    eprintln!("{}", lint::summary(&findings));
     std::process::exit(1);
 }

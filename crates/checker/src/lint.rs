@@ -57,6 +57,50 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+/// The lint's rules, one per scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// A raw `std` synchronization primitive outside the sync shim.
+    SyncShim,
+    /// A wall-clock read in the pure pipeline stages.
+    StagesClock,
+    /// The serve crate reaching `tempstream_sequitur` directly.
+    EngineBoundary,
+    /// A protocol-table scan in a simulator.
+    TableScan,
+    /// A `Grammar` snapshot in a product path.
+    GrammarSnapshot,
+}
+
+impl Rule {
+    /// How to fix a finding of this rule.
+    pub fn hint(self) -> &'static str {
+        match self {
+            Rule::SyncShim => {
+                "Route runtime synchronization through `crate::sync` so the \
+                 schedule checker can see it."
+            }
+            Rule::StagesClock => {
+                "Keep the pipeline stages pure: time them from \
+                 `runtime::metrics`, not inside `stages.rs`."
+            }
+            Rule::EngineBoundary => {
+                "Reach the grammar from the serve crate only through \
+                 `core::engine::AnalysisEngine`."
+            }
+            Rule::TableScan => {
+                "Look transitions up in the simulator's resolved \
+                 `ProtocolTable`, not with `.transition(`."
+            }
+            Rule::GrammarSnapshot => {
+                "Read the live SEQUITUR builder in place through \
+                 `core::streams`' root walk instead of building a `Grammar` \
+                 snapshot."
+            }
+        }
+    }
+}
+
 /// One forbidden token found outside an exempt region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
@@ -64,6 +108,8 @@ pub struct LintFinding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
+    /// The rule the token breaks.
+    pub rule: Rule,
     /// The forbidden token that matched.
     pub token: &'static str,
     /// The offending line, comment-stripped and trimmed.
@@ -147,9 +193,29 @@ fn net_braces(code: &str) -> i32 {
     n
 }
 
+/// The closing lines of a failing run: the finding count, then one
+/// hint per rule that has findings, in the order the rules first
+/// appear.
+pub fn summary(findings: &[LintFinding]) -> String {
+    let mut rules: Vec<Rule> = Vec::new();
+    for finding in findings {
+        if !rules.contains(&finding.rule) {
+            rules.push(finding.rule);
+        }
+    }
+    let mut out = format!("lint-sources: {} finding(s).", findings.len());
+    for rule in rules {
+        out.push('\n');
+        out.push_str(rule.hint());
+    }
+    out
+}
+
 /// Scans one source file for `tokens`, skipping line comments and
-/// `#[cfg(test)]`-attributed brace blocks.
-fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) -> Vec<LintFinding> {
+/// `#[cfg(test)]`-attributed brace blocks. Grouped `std::sync::{…}`
+/// imports are checked only for [`Rule::SyncShim`].
+fn scan(rel_path: &str, source: &str, tokens: &[&'static str], rule: Rule) -> Vec<LintFinding> {
+    let grouped = rule == Rule::SyncShim;
     let mut findings = Vec::new();
     // After seeing `#[cfg(test)]`, the next brace block is exempt.
     let mut pending_cfg_test = false;
@@ -191,6 +257,7 @@ fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) ->
                 findings.push(LintFinding {
                     file: rel_path.to_string(),
                     line: idx + 1,
+                    rule,
                     token,
                     excerpt: code.trim().to_string(),
                 });
@@ -208,6 +275,7 @@ fn scan(rel_path: &str, source: &str, tokens: &[&'static str], grouped: bool) ->
                         findings.push(LintFinding {
                             file: rel_path.to_string(),
                             line: idx + 1,
+                            rule,
                             token: "std::sync::{…}",
                             excerpt: code.trim().to_string(),
                         });
@@ -249,19 +317,24 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintFinding> {
         path.starts_with("crates/runtime/src/") && !path.starts_with("crates/runtime/src/sync/");
     let serve = path.starts_with("crates/serve/src/");
     if runtime || (serve && !path.starts_with("crates/serve/src/bin/")) {
-        findings.extend(scan(path, source, RUNTIME_FORBIDDEN, true));
+        findings.extend(scan(path, source, RUNTIME_FORBIDDEN, Rule::SyncShim));
     }
     if serve {
-        findings.extend(scan(path, source, SERVE_FORBIDDEN, false));
+        findings.extend(scan(path, source, SERVE_FORBIDDEN, Rule::EngineBoundary));
     }
     if path == "crates/core/src/stages.rs" {
-        findings.extend(scan(path, source, STAGES_FORBIDDEN, false));
+        findings.extend(scan(path, source, STAGES_FORBIDDEN, Rule::StagesClock));
     }
     if SIMULATOR_FILES.contains(&path) {
-        findings.extend(scan(path, source, SIMULATOR_FORBIDDEN, false));
+        findings.extend(scan(path, source, SIMULATOR_FORBIDDEN, Rule::TableScan));
     }
     if SNAPSHOT_DIRS.iter().any(|dir| path.starts_with(dir)) {
-        findings.extend(scan(path, source, SNAPSHOT_FORBIDDEN, false));
+        findings.extend(scan(
+            path,
+            source,
+            SNAPSHOT_FORBIDDEN,
+            Rule::GrammarSnapshot,
+        ));
     }
     findings
 }
@@ -486,6 +559,36 @@ mod tests {
         // The rule stacks on the stages' wall-clock rule.
         let both = format!("{src}fn t() {{ Instant::now(); }}\n");
         assert_eq!(lint_file("crates/core/src/stages.rs", &both).len(), 2);
+    }
+
+    #[test]
+    fn summary_names_only_the_rules_that_tripped() {
+        let snapshot = lint_file(
+            "crates/core/src/engine.rs",
+            "fn f(s: &Sequitur) { s.grammar(); }\n",
+        );
+        let text = summary(&snapshot);
+        assert!(text.starts_with("lint-sources: 1 finding(s)."), "{text}");
+        assert!(text.contains(Rule::GrammarSnapshot.hint()), "{text}");
+        assert!(
+            !text.contains("crate::sync"),
+            "a grammar finding must not get the sync-shim hint: {text}"
+        );
+        // Two rules, three findings: one hint each, in first-seen order.
+        let mut mixed = lint_file(
+            RUNTIME_PATH,
+            "use std::sync::Mutex;\nuse std::sync::Condvar;\n",
+        );
+        mixed.extend(snapshot);
+        let text = summary(&mixed);
+        assert_eq!(
+            text,
+            format!(
+                "lint-sources: 3 finding(s).\n{}\n{}",
+                Rule::SyncShim.hint(),
+                Rule::GrammarSnapshot.hint()
+            )
+        );
     }
 
     #[test]

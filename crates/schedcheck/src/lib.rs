@@ -135,6 +135,13 @@ pub fn all_models() -> Vec<ModelSpec> {
             model: models::serve_routing_drain,
         },
         ModelSpec {
+            name: "serve_cut_marker",
+            threads: 3,
+            dfs: dfs(1),
+            random: random(128),
+            model: models::serve_cut_marker,
+        },
+        ModelSpec {
             name: "serve_reply_fifo",
             threads: 2,
             dfs: dfs(2),
@@ -275,13 +282,14 @@ mod tests {
         // The server's queues under the same microscope as the runtime
         // deque: per-lane FIFO under reader-side routing,
         // all-or-nothing batch admission, the two-worker drain race,
-        // and the per-connection reply queue (pipelined FIFO +
-        // writer-exit close) all exhaust their bounded schedule space
-        // with zero counterexamples.
+        // the query cut-marker handshake, and the per-connection reply
+        // queue (pipelined FIFO + writer-exit close) all exhaust their
+        // bounded schedule space with zero counterexamples.
         for name in [
             "serve_routing_fifo",
             "serve_routing_admission",
             "serve_routing_drain",
+            "serve_cut_marker",
             "serve_reply_fifo",
             "serve_reply_writer_exit",
         ] {
@@ -337,6 +345,30 @@ mod tests {
             &cx.schedule,
             50_000,
             &(mutation::serve_reply_close_lossy_model as fn()),
+        );
+        let rcx = replay
+            .counterexample
+            .expect("replaying the schedule must reproduce the failure");
+        assert_eq!(rcx.kind, FailureKind::Deadlock);
+    }
+
+    #[test]
+    fn serve_lossy_cut_is_caught_as_deadlock() {
+        // Drop the cut collector's last-answer wakeup and a querier
+        // parked on its cut never learns the shards answered — the
+        // checker must find that schedule and it must replay.
+        let opts = sched::DfsOptions {
+            max_preemptions: 2,
+            max_executions: 60_000,
+            max_decisions: 50_000,
+        };
+        let cx = sched::explore_dfs(&opts, &(mutation::serve_cut_lossy_model as fn()))
+            .expect_err("lost cut wakeup must produce a counterexample");
+        assert_eq!(cx.kind, FailureKind::Deadlock, "expected a lost wakeup");
+        let replay = run_with_schedule(
+            &cx.schedule,
+            50_000,
+            &(mutation::serve_cut_lossy_model as fn()),
         );
         let rcx = replay
             .counterexample

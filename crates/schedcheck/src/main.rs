@@ -20,8 +20,9 @@
 //!   run and show its decision trace.
 //! * `--expect-mutation` — verify the checker still CATCHES the
 //!   injected bugs — the lost-`notify_one` queue, the server routing
-//!   lanes' lost drain wakeup, and the per-connection reply queue's
-//!   lost close wakeup (exits non-zero if it no longer does).
+//!   lanes' lost drain wakeup, the per-connection reply queue's lost
+//!   close wakeup, and the query cut collector's lost last-answer
+//!   wakeup (exits non-zero if it no longer does).
 
 use std::time::Instant;
 use tempstream_runtime::sync::sched::{self, Schedule};
@@ -108,7 +109,7 @@ fn run_expect_mutation() -> i32 {
         max_executions: 60_000,
         max_decisions: 50_000,
     };
-    let mutants: [(&str, fn()); 3] = [
+    let mutants: [(&str, fn()); 4] = [
         (
             "lost notify_one",
             tempstream_schedcheck::mutation::lossy_model,
@@ -120,6 +121,10 @@ fn run_expect_mutation() -> i32 {
         (
             "serve lost reply-queue close wakeup",
             tempstream_schedcheck::mutation::serve_reply_close_lossy_model,
+        ),
+        (
+            "serve lost cut-answer wakeup",
+            tempstream_schedcheck::mutation::serve_cut_lossy_model,
         ),
     ];
     for (what, model) in mutants {

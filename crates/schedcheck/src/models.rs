@@ -17,7 +17,10 @@
 //!   the workers observe the close; the per-connection [`ReplyQueue`]:
 //!   pipelined replies leave in strict FIFO dispatch order, and a
 //!   writer closing the queue under a blocked reader bounces the
-//!   undeliverable reply back instead of losing it or hanging.
+//!   undeliverable reply back instead of losing it or hanging; and the
+//!   cut-marker handshake: a query's [`Cut`] collects exactly the
+//!   records admitted before its marker, and the last answer wakes the
+//!   querier.
 //!
 //! Deadlock-freedom and lost-wakeup-freedom need no assertions: the
 //! scheduler itself reports any execution where every live thread
@@ -27,7 +30,7 @@ use tempstream_runtime::deque::WorkDeque;
 use tempstream_runtime::pool;
 use tempstream_runtime::sync::atomic::{AtomicUsize, Ordering};
 use tempstream_runtime::sync::{thread, Arc};
-use tempstream_serve::queue::{PushError, ReplyQueue, ShardQueues};
+use tempstream_serve::queue::{Cut, LaneItem, PushError, ReplyQueue, ShardQueues};
 
 /// An owner popping (LIFO) races a thief stealing (FIFO) over four
 /// queued jobs: the union is exactly the original set, the owner's
@@ -100,6 +103,18 @@ pub fn pool_two_workers() {
 
 // --- serve routing-lane models --------------------------------------------
 
+/// Pops `lane` until the drained queues return `None`, collecting the
+/// records of its batches in order.
+fn drain_lane<M>(queues: &ShardQueues<u32, M>, lane: usize) -> Vec<u32> {
+    let mut got = Vec::new();
+    while let Some(item) = queues.pop(lane) {
+        if let LaneItem::Batch(batch) = item {
+            got.extend(batch);
+        }
+    }
+    got
+}
+
 /// A connection reader streams three split batches onto two routing
 /// lanes while lane 0's worker races it; lane capacity 3 means every
 /// admission succeeds. Lane 0 must deliver exactly `[0, 1, 2]` in push
@@ -107,15 +122,9 @@ pub fn pool_two_workers() {
 /// drain intact and ordered. Per-lane FIFO here is what makes
 /// reader-side routing order-equivalent to the old single router.
 pub fn serve_routing_fifo() {
-    let queues = Arc::new(ShardQueues::new(2, 3));
+    let queues = Arc::new(ShardQueues::<u32>::new(2, 3));
     let worker_queues = Arc::clone(&queues);
-    let worker = thread::spawn(move || {
-        let mut got = Vec::new();
-        while let Some(batch) = worker_queues.pop(0) {
-            got.extend(batch);
-        }
-        got
-    });
+    let worker = thread::spawn(move || drain_lane(&worker_queues, 0));
     for i in 0..3u32 {
         let mut subs = vec![vec![i], vec![10 + i]];
         queues
@@ -126,10 +135,7 @@ pub fn serve_routing_fifo() {
     let got = worker.join().expect("worker clean");
     assert_eq!(got, [0, 1, 2], "lane 0 lost, duplicated, or reordered");
     assert!(queues.pop(0).is_none(), "drained lane stays closed");
-    let mut lane1 = Vec::new();
-    while let Some(batch) = queues.pop(1) {
-        lane1.extend(batch);
-    }
+    let lane1 = drain_lane(&queues, 1);
     assert_eq!(lane1, [10, 11, 12], "lane 1 backlog delivered after drain");
 }
 
@@ -138,15 +144,9 @@ pub fn serve_routing_fifo() {
 /// a frame blocked by ANY full lane leaves every lane untouched, and
 /// whatever was reported accepted is exactly what the workers receive.
 pub fn serve_routing_admission() {
-    let queues = Arc::new(ShardQueues::new(2, 1));
+    let queues = Arc::new(ShardQueues::<u32>::new(2, 1));
     let worker_queues = Arc::clone(&queues);
-    let worker = thread::spawn(move || {
-        let mut got = Vec::new();
-        while let Some(batch) = worker_queues.pop(0) {
-            got.extend(batch);
-        }
-        got
-    });
+    let worker = thread::spawn(move || drain_lane(&worker_queues, 0));
     let mut accepted = vec![1u32];
     let mut first = vec![vec![1u32], vec![2]];
     queues
@@ -170,10 +170,7 @@ pub fn serve_routing_admission() {
     queues.drain();
     let got = worker.join().expect("worker clean");
     assert_eq!(got, accepted, "delivered set must equal the accepted set");
-    let mut lane1 = Vec::new();
-    while let Some(batch) = queues.pop(1) {
-        lane1.extend(batch);
-    }
+    let lane1 = drain_lane(&queues, 1);
     assert_eq!(lane1, [2], "lane 1 holds exactly the admitted sub-batch");
 }
 
@@ -242,17 +239,11 @@ pub fn serve_reply_writer_exit() {
 /// must reach every parked worker, and no sub-batch may leak across
 /// lanes or vanish.
 pub fn serve_routing_drain() {
-    let queues = Arc::new(ShardQueues::new(2, 2));
+    let queues = Arc::new(ShardQueues::<u32>::new(2, 2));
     let workers: Vec<_> = (0..2)
         .map(|lane| {
             let q = Arc::clone(&queues);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(batch) = q.pop(lane) {
-                    got.extend(batch);
-                }
-                got
-            })
+            thread::spawn(move || drain_lane(&q, lane))
         })
         .collect();
     let mut subs = vec![vec![0u32], vec![1]];
@@ -264,4 +255,52 @@ pub fn serve_routing_drain() {
         .collect();
     assert_eq!(results[0], [0], "lane 0 worker gets exactly its sub-batch");
     assert_eq!(results[1], [1], "lane 1 worker gets exactly its sub-batch");
+}
+
+/// The query path's marker handshake: an ingester admits two frames
+/// (1 and 2 records) while the querier (the root thread) pushes a cut
+/// marker and waits on its [`Cut`], and the lane's worker applies
+/// batches and answers the marker with the records it has applied so
+/// far. In every interleaving the querier's part must equal exactly the
+/// watermark `try_push_cut` returned — the records admitted before the
+/// marker, no more and no fewer — and the worker's last answer must
+/// wake the querier. `cut` is the collector under test (the mutation
+/// gate passes one that drops that wakeup).
+pub fn cut_marker(cut: Cut<u64>) {
+    let queues = Arc::new(ShardQueues::<u32, Cut<u64>>::new(1, 2));
+    let worker_queues = Arc::clone(&queues);
+    let worker = thread::spawn(move || {
+        let mut applied = 0u64;
+        while let Some(item) = worker_queues.pop(0) {
+            match item {
+                LaneItem::Batch(batch) => applied += batch.len() as u64,
+                LaneItem::Marker(cut) => cut.answer(0, applied),
+            }
+        }
+        applied
+    });
+    let ingest_queues = Arc::clone(&queues);
+    let ingester = thread::spawn(move || {
+        for frame in [vec![1u32], vec![2, 3]] {
+            ingest_queues
+                .try_push_batches(&mut [frame])
+                .expect("capacity 2 admits both frames");
+        }
+    });
+    let cut = Arc::new(cut);
+    let watermark = queues.try_push_cut(&cut).expect("queues are open");
+    let parts = cut.wait().expect("no lane fails");
+    assert_eq!(
+        parts,
+        [watermark],
+        "the cut must see exactly the records admitted before its marker"
+    );
+    ingester.join().expect("ingester clean");
+    queues.drain();
+    assert_eq!(worker.join().expect("worker clean"), 3);
+}
+
+/// [`cut_marker`] over the correct collector.
+pub fn serve_cut_marker() {
+    cut_marker(Cut::new(1));
 }

@@ -25,9 +25,17 @@
 //! reply-queue space never learns the writer died — the leak the
 //! reader/writer split's close-on-drop guard exists to prevent.
 //! [`serve_reply_close_control_model`] must pass unmutated.
+//!
+//! [`serve_cut_lossy_model`] aims the gate at the query path's cut
+//! collector: `Cut::new_lossy_for_modelcheck` stores the last shard's
+//! answer but drops its wakeup, so a querier parked on the cut never
+//! learns its answer is complete. It runs [`models::cut_marker`], whose
+//! correct-collector run is the registered `serve_cut_marker` model —
+//! that model is this mutation's control.
 
+use crate::models;
 use tempstream_runtime::sync::{thread, Arc, Condvar, Mutex};
-use tempstream_serve::queue::{ReplyQueue, ShardQueues};
+use tempstream_serve::queue::{Cut, ReplyQueue, ShardQueues};
 
 /// A one-condvar queue whose `push` can be built to drop its wakeup.
 pub struct LossyQueue {
@@ -89,7 +97,7 @@ pub fn control_model() {
 
 fn serve_drain_model(lossy: bool) {
     let queues = Arc::new(if lossy {
-        ShardQueues::new_lossy_for_modelcheck(2, 1)
+        ShardQueues::<u32>::new_lossy_for_modelcheck(2, 1)
     } else {
         ShardQueues::new(2, 1)
     });
@@ -153,4 +161,12 @@ pub fn serve_reply_close_lossy_model() {
 /// same bound.
 pub fn serve_reply_close_control_model() {
     serve_reply_close_model(false);
+}
+
+/// The cut-marker handshake with the collector's wakeup dropped: in
+/// the schedule where the querier parks on its cut before the shard
+/// worker answers, nothing ever wakes it — exploration MUST report the
+/// deadlock.
+pub fn serve_cut_lossy_model() {
+    models::cut_marker(Cut::new_lossy_for_modelcheck(1));
 }

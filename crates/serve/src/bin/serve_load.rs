@@ -46,8 +46,8 @@ const RECORD_BYTES: usize = tempstream_trace::io::RECORD_BYTES;
 
 /// Pipelined connections interleave one `QueryDelta` after this many
 /// ingest acks (verify mode), so delta cursors move mid-ingest. Each
-/// probe stalls the window on `wait_applied` plus a consistent-cut
-/// merge, so they are spaced widely — enough to exercise the cursor
+/// probe stalls the window until every shard worker reaches its cut
+/// marker and answers, so they are spaced widely — enough to exercise the cursor
 /// across several cuts without dominating the soak's throughput.
 const DELTA_EVERY: usize = 48;
 

@@ -1,5 +1,5 @@
-//! The sharded ingest queues and their drain handshake, plus the
-//! per-connection reply queue.
+//! The sharded ingest queues, their cut markers and drain handshake,
+//! plus the per-connection reply queue.
 //!
 //! [`ShardQueues`] is the ingest admission point: one bounded FIFO
 //! lane per shard behind a single mutex. Connection readers split each
@@ -8,17 +8,31 @@
 //! [`try_push_batches`](ShardQueues::try_push_batches) — **all lanes
 //! or none**, so a frame is either fully queued (acked) or fully
 //! refused ([`PushError::Full`] surfaces to the client as `Busy`,
-//! [`PushError::Draining`] as an error). Taking every lane under one
-//! lock gives admitted frames a single total order, which is what
-//! preserves per-connection FIFO per shard — the property the offline
-//! bit-identity comparator depends on. Shard workers block in
-//! [`pop`](ShardQueues::pop) on their own lane until work arrives or
-//! the queue is drained: [`drain`](ShardQueues::drain) marks every
-//! lane closed and wakes every sleeper, after which `pop` hands out
-//! the remaining backlog and then returns `None` — the worker's signal
-//! to finish and report. Emptied sub-batch buffers are
+//! [`PushError::Draining`] and [`PushError::Failed`] as errors).
+//! Taking every lane under one lock gives admitted frames a single
+//! total order, which is what preserves per-connection FIFO per shard —
+//! the property the offline bit-identity comparator depends on. Shard
+//! workers block in [`pop`](ShardQueues::pop) on their own lane until
+//! work arrives or the queue is drained: [`drain`](ShardQueues::drain)
+//! marks every lane closed and wakes every sleeper, after which `pop`
+//! hands out the remaining backlog and then returns `None` — the
+//! worker's signal to finish and report. Emptied sub-batch buffers are
 //! [`recycle`](ShardQueues::recycle)d through an internal free list so
 //! the steady-state hot path allocates nothing.
+//!
+//! Queries ride the same lanes as **cut markers**:
+//! [`try_push_cut`](ShardQueues::try_push_cut) appends one marker to
+//! every lane under the admission lock, so every lane holds exactly the
+//! frames admitted before it ahead of its marker — a consistent cut by
+//! construction (Chandy–Lamport markers over FIFO channels), with no
+//! lock held across shards while they answer. The push returns the
+//! cut's watermark, the records admitted before it. Each lane's worker
+//! answers its part into the marker's [`Cut`] collector when it pops
+//! the marker, in parallel with the other lanes; the last answer wakes
+//! the querier. Markers do not count against lane capacity (each
+//! querier has at most one cut in flight). A lane whose worker died is
+//! [`fail`](ShardQueues::fail)ed: its queued markers come back to the
+//! caller to be failed, and later admissions touching it are refused.
 //!
 //! [`ReplyQueue`] is the per-connection counterpart on the outbound
 //! side: the connection reader pushes reply frames (blocking when the
@@ -32,14 +46,15 @@
 //! shim, so the whole handshake is explorable by the schedule checker;
 //! `tempstream-schedcheck` registers closed models over these exact
 //! types (`serve_routing_fifo`, `serve_routing_admission`,
-//! `serve_routing_drain`, `serve_reply_fifo`,
+//! `serve_routing_drain`, `serve_cut_marker`, `serve_reply_fifo`,
 //! `serve_reply_writer_exit`) plus mutations
 //! ([`ShardQueues::new_lossy_for_modelcheck`],
-//! [`ReplyQueue::new_lossy_for_modelcheck`]) proving a dropped drain or
-//! close signal is caught as a deadlock.
+//! [`Cut::new_lossy_for_modelcheck`],
+//! [`ReplyQueue::new_lossy_for_modelcheck`]) proving a dropped drain,
+//! cut-answer or close signal is caught as a deadlock.
 
 use std::collections::VecDeque;
-use tempstream_runtime::sync::{Condvar, Mutex};
+use tempstream_runtime::sync::{Arc, Condvar, Mutex};
 
 /// Sub-batch buffers kept on the free list; beyond this, emptied
 /// buffers are simply dropped.
@@ -52,29 +67,48 @@ pub enum PushError<T> {
     Full(T),
     /// The queues are draining and accept no new work.
     Draining(T),
+    /// A target lane's worker has failed and will never apply it.
+    Failed(T),
+}
+
+/// One entry of a shard lane.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LaneItem<T, M> {
+    /// Records routed to the lane's shard, in admission order.
+    Batch(Vec<T>),
+    /// A cut marker: every batch admitted before it precedes it in
+    /// every lane.
+    Marker(Arc<M>),
 }
 
 #[derive(Debug)]
-struct Lane<T> {
-    items: VecDeque<Vec<T>>,
+struct Lane<T, M> {
+    items: VecDeque<LaneItem<T, M>>,
+    /// Sub-batches in `items`; markers do not count against capacity.
+    batches: usize,
     max_depth: usize,
+    /// The lane's worker died: nothing is queued here any more.
+    failed: bool,
 }
 
 #[derive(Debug)]
-struct SqState<T> {
-    lanes: Vec<Lane<T>>,
+struct SqState<T, M> {
+    lanes: Vec<Lane<T, M>>,
     draining: bool,
+    /// Records admitted so far: the watermark each new marker cuts at.
+    admitted: u64,
     /// Emptied sub-batch buffers, cleared but with capacity retained.
     free: Vec<Vec<T>>,
 }
 
-/// Bounded per-shard FIFO lanes with all-or-nothing batch admission
-/// and an explicit drain signal. See the module docs for the protocol.
+/// Bounded per-shard FIFO lanes with all-or-nothing batch admission,
+/// cut markers of type `M`, and an explicit drain signal. See the
+/// module docs for the protocol.
 #[derive(Debug)]
-pub struct ShardQueues<T> {
-    state: Mutex<SqState<T>>,
-    /// One condvar per lane; that lane's worker waits here for
-    /// sub-batches (or the drain signal). Pushers never wait.
+pub struct ShardQueues<T, M = ()> {
+    state: Mutex<SqState<T, M>>,
+    /// One condvar per lane; that lane's worker waits here for items
+    /// (or the drain signal). Pushers never wait.
     ready: Vec<Condvar>,
     /// Per-lane capacity in sub-batches.
     capacity: usize,
@@ -83,7 +117,7 @@ pub struct ShardQueues<T> {
     lossy_drain: bool,
 }
 
-impl<T> ShardQueues<T> {
+impl<T, M> ShardQueues<T, M> {
     /// Creates `lanes` lanes, each holding at most `capacity`
     /// sub-batches.
     pub fn new(lanes: usize, capacity: usize) -> Self {
@@ -93,10 +127,13 @@ impl<T> ShardQueues<T> {
                 lanes: (0..lanes)
                     .map(|_| Lane {
                         items: VecDeque::with_capacity(capacity.min(1024)),
+                        batches: 0,
                         max_depth: 0,
+                        failed: false,
                     })
                     .collect(),
                 draining: false,
+                admitted: 0,
                 free: Vec::new(),
             }),
             ready: (0..lanes).map(|_| Condvar::new()).collect(),
@@ -125,17 +162,17 @@ impl<T> ShardQueues<T> {
         self.capacity
     }
 
-    /// Sub-batches currently queued on `lane`.
+    /// Sub-batches currently queued on `lane` (markers excluded).
     pub fn len(&self, lane: usize) -> usize {
-        self.state.lock().lanes[lane].items.len()
+        self.state.lock().lanes[lane].batches
     }
 
-    /// True when nothing is queued on `lane`.
+    /// True when no sub-batch is queued on `lane`.
     pub fn is_empty(&self, lane: usize) -> bool {
         self.len(lane) == 0
     }
 
-    /// High-water mark of `lane`'s depth.
+    /// High-water mark of `lane`'s depth in sub-batches.
     pub fn max_depth(&self, lane: usize) -> usize {
         self.state.lock().lanes[lane].max_depth
     }
@@ -148,15 +185,17 @@ impl<T> ShardQueues<T> {
     /// them are enqueued under one critical section — a single total
     /// admission order across every pusher — and each moved slot is
     /// refilled with an empty recycled buffer so the caller's scratch
-    /// keeps its allocations. If *any* target lane is full (or the
-    /// queues are draining) **nothing** is enqueued and `subs` is left
-    /// untouched, so a refused frame can be retried or discarded whole.
+    /// keeps its allocations. If *any* target lane is full or failed
+    /// (or the queues are draining) **nothing** is enqueued and `subs`
+    /// is left untouched, so a refused frame can be retried or
+    /// discarded whole.
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] if any target lane is at capacity (the
-    /// backpressure signal), [`PushError::Draining`] after
-    /// [`drain`](ShardQueues::drain).
+    /// [`PushError::Draining`] after [`drain`](ShardQueues::drain),
+    /// [`PushError::Failed`] if any target lane is
+    /// [`fail`](ShardQueues::fail)ed, [`PushError::Full`] if any target
+    /// lane is at capacity (the backpressure signal).
     ///
     /// # Panics
     ///
@@ -167,10 +206,12 @@ impl<T> ShardQueues<T> {
         if state.draining {
             return Err(PushError::Draining(()));
         }
-        for (i, sub) in subs.iter().enumerate() {
-            if !sub.is_empty() && state.lanes[i].items.len() >= self.capacity {
-                return Err(PushError::Full(()));
-            }
+        let targets = || subs.iter().enumerate().filter(|(_, sub)| !sub.is_empty());
+        if targets().any(|(i, _)| state.lanes[i].failed) {
+            return Err(PushError::Failed(()));
+        }
+        if targets().any(|(i, _)| state.lanes[i].batches >= self.capacity) {
+            return Err(PushError::Full(()));
         }
         let mut touched = [false; 64];
         let mut touched_big = Vec::new();
@@ -180,9 +221,11 @@ impl<T> ShardQueues<T> {
             }
             let replacement = state.free.pop().unwrap_or_default();
             let batch = std::mem::replace(sub, replacement);
+            state.admitted += batch.len() as u64;
             let lane = &mut state.lanes[i];
-            lane.items.push_back(batch);
-            lane.max_depth = lane.max_depth.max(lane.items.len());
+            lane.items.push_back(LaneItem::Batch(batch));
+            lane.batches += 1;
+            lane.max_depth = lane.max_depth.max(lane.batches);
             if i < touched.len() {
                 touched[i] = true;
             } else {
@@ -201,20 +244,74 @@ impl<T> ShardQueues<T> {
         Ok(())
     }
 
-    /// Blocking pop for `lane`'s worker: the next sub-batch, or `None`
-    /// once the queues are drained *and* the lane is empty (every
-    /// queued sub-batch is always delivered first).
-    pub fn pop(&self, lane: usize) -> Option<Vec<T>> {
+    /// Non-blocking admission of a cut marker: appends `marker` to
+    /// every lane under the admission lock, so each lane's worker meets
+    /// it after exactly the batches admitted before it. Markers do not
+    /// count against lane capacity. Returns the cut's watermark: the
+    /// records admitted before the marker.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Draining`] after [`drain`](ShardQueues::drain) (the
+    /// workers may already have finished), [`PushError::Failed`] if any
+    /// lane is [`fail`](ShardQueues::fail)ed. Either way no lane holds
+    /// the marker.
+    pub fn try_push_cut(&self, marker: &Arc<M>) -> Result<u64, PushError<()>> {
+        let mut state = self.state.lock();
+        if state.draining {
+            return Err(PushError::Draining(()));
+        }
+        if state.lanes.iter().any(|lane| lane.failed) {
+            return Err(PushError::Failed(()));
+        }
+        for lane in &mut state.lanes {
+            lane.items.push_back(LaneItem::Marker(Arc::clone(marker)));
+        }
+        let watermark = state.admitted;
+        drop(state);
+        for cv in &self.ready {
+            cv.notify_one();
+        }
+        Ok(watermark)
+    }
+
+    /// Blocking pop for `lane`'s worker: the next item, or `None` once
+    /// the queues are drained *and* the lane is empty (every queued
+    /// item is always delivered first).
+    pub fn pop(&self, lane: usize) -> Option<LaneItem<T, M>> {
         let mut state = self.state.lock();
         loop {
-            if let Some(batch) = state.lanes[lane].items.pop_front() {
-                return Some(batch);
+            let lane_state = &mut state.lanes[lane];
+            if let Some(item) = lane_state.items.pop_front() {
+                if matches!(item, LaneItem::Batch(_)) {
+                    lane_state.batches -= 1;
+                }
+                return Some(item);
             }
             if state.draining {
                 return None;
             }
             state = self.ready[lane].wait(state);
         }
+    }
+
+    /// Marks `lane` failed because its worker died: its queued batches
+    /// are discarded, later admissions touching it and every later cut
+    /// are refused with [`PushError::Failed`], and the markers still
+    /// queued on it are returned so the caller can fail their cuts.
+    /// `pop` on the lane then waits for the drain and returns `None`.
+    pub fn fail(&self, lane: usize) -> Vec<Arc<M>> {
+        let mut state = self.state.lock();
+        let lane = &mut state.lanes[lane];
+        lane.failed = true;
+        lane.batches = 0;
+        lane.items
+            .drain(..)
+            .filter_map(|item| match item {
+                LaneItem::Marker(marker) => Some(marker),
+                LaneItem::Batch(_) => None,
+            })
+            .collect()
     }
 
     /// Returns an emptied sub-batch buffer to the free list (capacity
@@ -248,6 +345,96 @@ impl<T> ShardQueues<T> {
     /// True once [`drain`](ShardQueues::drain) has been called.
     pub fn is_draining(&self) -> bool {
         self.state.lock().draining
+    }
+}
+
+/// A cut that cannot complete: some lane's worker failed first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneFailed;
+
+#[derive(Debug)]
+struct CutState<P> {
+    parts: Vec<Option<P>>,
+    /// Lanes that have neither answered nor failed.
+    pending: usize,
+    failed: bool,
+}
+
+/// The collector of one consistent cut: one slot per lane, filled by
+/// that lane's worker when it pops the cut's marker. The querier
+/// [`wait`](Cut::wait)s until every lane has answered (or failed); the
+/// last lane to settle wakes it.
+#[derive(Debug)]
+pub struct Cut<P> {
+    state: Mutex<CutState<P>>,
+    /// The querier waits here for the last lane to settle.
+    settled: Condvar,
+    /// Injected bug for the schedule checker's mutation gate: when set,
+    /// the last answer is stored but its wakeup is "lost".
+    lossy: bool,
+}
+
+impl<P> Cut<P> {
+    /// A cut over `lanes` lanes, none answered yet.
+    pub fn new(lanes: usize) -> Self {
+        Cut {
+            state: Mutex::new(CutState {
+                parts: (0..lanes).map(|_| None).collect(),
+                pending: lanes,
+                failed: false,
+            }),
+            settled: Condvar::new(),
+            lossy: false,
+        }
+    }
+
+    /// Creates a cut whose last answer drops its wakeup — the schedule
+    /// checker's mutation gate proves this lost signal is caught as a
+    /// deadlock. Never use outside model checking.
+    #[doc(hidden)]
+    pub fn new_lossy_for_modelcheck(lanes: usize) -> Self {
+        let mut cut = Self::new(lanes);
+        cut.lossy = true;
+        cut
+    }
+
+    /// Stores `lane`'s part of the answer.
+    pub fn answer(&self, lane: usize, part: P) {
+        self.settle(|state| state.parts[lane] = Some(part));
+    }
+
+    /// Settles one lane without an answer: its worker died before
+    /// reaching the marker.
+    pub fn fail(&self) {
+        self.settle(|state| state.failed = true);
+    }
+
+    fn settle(&self, record: impl FnOnce(&mut CutState<P>)) {
+        let mut state = self.state.lock();
+        record(&mut state);
+        state.pending -= 1;
+        let last = state.pending == 0;
+        drop(state);
+        if last && !self.lossy {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Blocks until every lane has settled; returns the parts in lane
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`LaneFailed`] if any lane failed instead of answering.
+    pub fn wait(&self) -> Result<Vec<P>, LaneFailed> {
+        let mut state = self.state.lock();
+        while state.pending > 0 {
+            state = self.settled.wait(state);
+        }
+        if state.failed {
+            return Err(LaneFailed);
+        }
+        Ok(state.parts.drain(..).flatten().collect())
     }
 }
 
@@ -394,6 +581,17 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Pops `lane` until the drained queues return `None`, collecting
+    /// the records of its batches in order.
+    fn drain_lane<M>(q: &ShardQueues<u32, M>, lane: usize) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop(lane))
+            .flat_map(|item| match item {
+                LaneItem::Batch(batch) => batch,
+                LaneItem::Marker(_) => Vec::new(),
+            })
+            .collect()
+    }
+
     /// Splits `items` into `lanes` sub-batch vectors round-robin.
     fn split(items: &[u32], lanes: usize) -> Vec<Vec<u32>> {
         let mut per = vec![Vec::new(); lanes];
@@ -405,7 +603,7 @@ mod tests {
 
     #[test]
     fn per_lane_fifo_and_depth_tracking() {
-        let q = ShardQueues::new(2, 4);
+        let q = ShardQueues::<u32>::new(2, 4);
         for round in 0..3u32 {
             let mut subs = split(&[round * 2, round * 2 + 1], 2);
             q.try_push_batches(&mut subs).unwrap();
@@ -423,8 +621,8 @@ mod tests {
             Err(PushError::Draining(()))
         );
         assert_eq!(refused[0], [8], "refused sub-batches left untouched");
-        let lane0: Vec<u32> = std::iter::from_fn(|| q.pop(0)).flatten().collect();
-        let lane1: Vec<u32> = std::iter::from_fn(|| q.pop(1)).flatten().collect();
+        let lane0 = drain_lane(&q, 0);
+        let lane1 = drain_lane(&q, 1);
         assert_eq!(lane0, [0, 2, 4], "lane 0 FIFO");
         assert_eq!(lane1, [1, 3, 5], "lane 1 FIFO");
         assert!(q.pop(0).is_none(), "drained queue stays closed");
@@ -432,7 +630,7 @@ mod tests {
 
     #[test]
     fn admission_is_all_lanes_or_none() {
-        let q = ShardQueues::new(2, 1);
+        let q = ShardQueues::<u32>::new(2, 1);
         let mut first = split(&[0, 1], 2);
         q.try_push_batches(&mut first).unwrap();
         // Lane 1 is now full: the whole frame must be refused, with
@@ -443,14 +641,12 @@ mod tests {
         assert_eq!(q.len(0), 1, "partial admission must not happen");
         // Free lane 0; a frame targeting only that lane then goes in
         // even while lane 1 is still full (empty slots don't count).
-        assert_eq!(q.pop(0), Some(vec![0]));
+        assert_eq!(q.pop(0), Some(LaneItem::Batch(vec![0])));
         let mut third = vec![vec![4u32], Vec::new()];
         q.try_push_batches(&mut third).unwrap();
         q.drain();
-        let lane0: Vec<u32> = std::iter::from_fn(|| q.pop(0)).flatten().collect();
-        assert_eq!(lane0, [4]);
-        let lane1: Vec<u32> = std::iter::from_fn(|| q.pop(1)).flatten().collect();
-        assert_eq!(lane1, [1]);
+        assert_eq!(drain_lane(&q, 0), [4]);
+        assert_eq!(drain_lane(&q, 1), [1]);
     }
 
     #[test]
@@ -477,13 +673,7 @@ mod tests {
         let handles: Vec<_> = (0..2)
             .map(|lane| {
                 let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(batch) = q.pop(lane) {
-                        got.extend(batch);
-                    }
-                    got
-                })
+                thread::spawn(move || drain_lane(&q, lane))
             })
             .collect();
         for round in 0..5u32 {
@@ -497,6 +687,82 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cut_markers_land_behind_admitted_batches_in_every_lane() {
+        let q = ShardQueues::<u32, &str>::new(2, 1);
+        q.try_push_batches(&mut [vec![1, 2], vec![3]]).unwrap();
+        // Both lanes are full, yet the marker goes in: markers do not
+        // count against capacity, and the watermark counts every
+        // record admitted before it.
+        let marker = Arc::new("cut");
+        assert_eq!(q.try_push_cut(&marker), Ok(3));
+        assert_eq!(q.len(0), 1, "a marker is not a sub-batch");
+        assert_eq!(q.max_depth(1), 1);
+        q.try_push_batches(&mut [Vec::new(), Vec::new()]).unwrap();
+        assert_eq!(
+            q.try_push_batches(&mut [vec![4], Vec::new()]),
+            Err(PushError::Full(()))
+        );
+        assert_eq!(q.pop(0), Some(LaneItem::Batch(vec![1, 2])));
+        q.try_push_batches(&mut [vec![4], Vec::new()]).unwrap();
+        assert_eq!(q.pop(0), Some(LaneItem::Marker(Arc::clone(&marker))));
+        assert_eq!(q.pop(0), Some(LaneItem::Batch(vec![4])));
+        assert_eq!(q.pop(1), Some(LaneItem::Batch(vec![3])));
+        assert_eq!(q.pop(1), Some(LaneItem::Marker(Arc::clone(&marker))));
+        assert_eq!(q.try_push_cut(&marker), Ok(4), "watermark only grows");
+        q.drain();
+        assert_eq!(q.try_push_cut(&marker), Err(PushError::Draining(())));
+    }
+
+    #[test]
+    fn failed_lane_hands_back_its_markers_and_refuses_new_work() {
+        let q = ShardQueues::<u32, u32>::new(2, 4);
+        q.try_push_batches(&mut [vec![1], vec![2]]).unwrap();
+        let marker = Arc::new(7);
+        q.try_push_cut(&marker).unwrap();
+        q.try_push_batches(&mut [vec![3], Vec::new()]).unwrap();
+        assert_eq!(q.fail(0), [Arc::clone(&marker)], "queued marker returned");
+        assert!(q.is_empty(0), "queued batches discarded");
+        assert_eq!(
+            q.try_push_batches(&mut [vec![4], Vec::new()]),
+            Err(PushError::Failed(()))
+        );
+        // A frame that does not touch the failed lane still goes in.
+        q.try_push_batches(&mut [Vec::new(), vec![5]]).unwrap();
+        assert_eq!(q.try_push_cut(&marker), Err(PushError::Failed(())));
+        q.drain();
+        assert!(q.pop(0).is_none(), "a failed lane pops nothing");
+        let lane1: Vec<_> = std::iter::from_fn(|| q.pop(1)).collect();
+        assert_eq!(
+            lane1,
+            [
+                LaneItem::Batch(vec![2]),
+                LaneItem::Marker(marker),
+                LaneItem::Batch(vec![5])
+            ]
+        );
+    }
+
+    #[test]
+    fn cut_returns_parts_in_lane_order_once_every_lane_settles() {
+        let cut = Arc::new(Cut::new(3));
+        let answerers: Vec<_> = [2usize, 0, 1]
+            .into_iter()
+            .map(|lane| {
+                let cut = Arc::clone(&cut);
+                thread::spawn(move || cut.answer(lane, lane * 10))
+            })
+            .collect();
+        assert_eq!(cut.wait(), Ok(vec![0, 10, 20]));
+        for a in answerers {
+            a.join().unwrap();
+        }
+        let failed = Cut::new(2);
+        failed.answer(1, 'b');
+        failed.fail();
+        assert_eq!(failed.wait(), Err(LaneFailed));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!                                   admission point, one lane per shard)
 //!                                        │ shard workers apply incrementally
 //!                                        ▼
-//!                                   per-shard ShardState (behind shim Mutex)
+//!                                   per-shard ShardState (owned by its worker)
 //! ```
 //!
 //! Pipelining: protocol-v2 clients tag requests with a sequence id and
@@ -43,25 +43,40 @@
 //! steady-state ingest path allocates nothing. Nothing buffers without
 //! bound.
 //!
-//! Read-your-writes: every acked record bumps `Progress::enqueued`
-//! under the progress lock *in the same critical section as the queue
-//! push*; shard workers bump `applied` after mutating their state.
-//! A query first waits until `applied >= enqueued-at-entry`, then locks
-//! all shards (index order) for a consistent cut — so any answer
-//! reflects at least every record acked before the query was sent.
-//! Metrics gauges are exported on the same cut, so a snapshot can never
-//! show `in_state` disagreeing with `applied`.
+//! Read-your-writes and consistent cuts: every query pushes a cut
+//! marker onto every shard lane with [`ShardQueues::try_push_cut`],
+//! under the same admission lock as ingest. Each lane therefore holds,
+//! ahead of the marker, exactly the sub-batches of the frames admitted
+//! before it — including every frame this connection had acked. Each
+//! shard worker owns its [`ShardState`] outright (no lock); when it
+//! pops the marker it computes its part of the answer at exactly that
+//! point, in parallel with the other shards, and the last shard to
+//! answer wakes the reader, which only merges the parts. No lock is
+//! held across shards: a query costs the slowest shard's walk, not the
+//! sum of them, and a shard's ingest pauses only while its own worker
+//! walks (its lane keeps admitting up to capacity meanwhile). A reader
+//! waits for its cut before reading on, so markers in flight are
+//! bounded by the connections. The cut's watermark (`DeltaReply.applied`) is the
+//! exact number of records admitted before the marker, and the metrics
+//! gauges exported on a cut describe exactly that state: `in_state`
+//! equals the watermark, while counters read after the cut may already
+//! count later frames.
 //!
 //! Incremental queries: each connection keeps a [`DeltaCursor`] — the
 //! per-shard state versions plus the merged answers of its last cut.
-//! `QueryDelta` takes a consistent cut, re-snapshots **only** the
-//! shards whose version moved, and replies with the change since the
-//! cursor; a cut where nothing moved never walks a grammar at all. The
-//! cursor also caches a merged origin table patched per changed shard,
-//! so delta probes and `QueryTopOrigins` are O(changed shards), not
-//! O(all shards) — and per-shard `StreamCounts` are version-memoized
-//! inside [`ShardState`], so even a full query only walks the grammars
-//! that actually moved.
+//! `QueryDelta` takes a consistent cut and folds in **only** the
+//! shards whose version moved, replying with the change since the
+//! cursor; per-shard `StreamCounts` are version-memoized inside
+//! [`ShardState`], so a shard that did not move never walks its
+//! grammar. The cursor also caches a merged origin table patched per
+//! changed shard — a shard sends a copy of its origin table only when
+//! its version moved past the cursor's — so delta probes and
+//! `QueryTopOrigins` are O(changed shards), not O(all shards).
+//!
+//! A shard worker that panics fails its lane through a drop guard: its
+//! queued and later cuts are answered `Error{ERR_SHARD_FAILED}`, as is
+//! ingest routed to it, the lane counts as done for the drain, and
+//! `run` re-raises the panic once the drain completes.
 //!
 //! Shutdown: a `Shutdown` frame marks the lifecycle `Draining`, drains
 //! the shard queues, and wakes the acceptor with a loopback connect.
@@ -80,14 +95,14 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::queue::{PushError, ReplyQueue, ShardQueues};
+use crate::queue::{Cut, LaneItem, PushError, ReplyQueue, ShardQueues};
 use crate::shard::{
     merge_coverage_counts, merge_stream_counts, shard_of, CoverageCounts, OriginTable, ShardConfig,
     ShardState, StreamCounts,
 };
 use crate::wire::{
     encode_message, write_frame, DeltaCounts, Frame, Message, MessageAssembler, ERR_BAD_FRAME,
-    ERR_DRAINING, ERR_OVERSIZED,
+    ERR_DRAINING, ERR_OVERSIZED, ERR_SHARD_FAILED,
 };
 use tempstream_fxhash::FxHashMap;
 use tempstream_obsv::{Counter, Histogram, Registry};
@@ -118,6 +133,11 @@ pub struct ServerConfig {
     /// on the first decoded frame (exercises the slot-release guard).
     #[doc(hidden)]
     pub fault_conn_panics: usize,
+    /// Test hook: the workers of shards `0..N` panic on the first item
+    /// of their lane, a sub-batch or a cut marker (exercises the
+    /// failed-lane path).
+    #[doc(hidden)]
+    pub fault_shard_panics: usize,
     /// Test hook: the acceptor sleeps this long before each `accept`,
     /// widening the drain window so tests can race it deterministically.
     #[doc(hidden)]
@@ -133,6 +153,7 @@ impl Default for ServerConfig {
             max_connections: 32,
             reply_queue_capacity: 32,
             fault_conn_panics: 0,
+            fault_shard_panics: 0,
             fault_accept_hold_ms: 0,
         }
     }
@@ -144,14 +165,6 @@ enum Phase {
     Running,
     Draining,
     Drained,
-}
-
-#[derive(Debug, Default)]
-struct Progress {
-    /// Records admitted onto the shard lanes (and acked).
-    enqueued: u64,
-    /// Records applied to shard state.
-    applied: u64,
 }
 
 #[derive(Debug, Default)]
@@ -174,7 +187,8 @@ struct Metrics {
     frames_acked: Counter,
     /// Ingest frames refused whole with `Busy` (a full lane).
     frames_busy: Counter,
-    /// Dispatched frames answered `Error`: ingest while draining, or a
+    /// Dispatched ingest or reply-direction frames answered `Error`:
+    /// ingest while draining or routed to a failed shard, or a
     /// reply-direction frame sent as a request.
     frames_errors: Counter,
     /// `Shutdown` frames.
@@ -189,16 +203,17 @@ struct Metrics {
     records_rejected: Counter,
     conn_accepted: Counter,
     conn_rejected: Counter,
-    /// Query frames of every kind.
+    /// Query frames of every kind, answered or refused.
     queries: Counter,
-    /// Per consistent cut: µs waiting for the applied watermark.
-    cut_wait_us: Histogram,
-    /// Per consistent cut: µs all shard guards are held.
-    cut_held_us: Histogram,
+    /// Per consistent cut and shard: µs from the marker push until the
+    /// shard's part is ready (lane wait plus walk).
+    shard_answer_us: Vec<Histogram>,
+    /// Per consistent cut: µs merging the shards' parts into the reply.
+    merge_us: Histogram,
 }
 
 impl Metrics {
-    fn new(registry: &Registry) -> Self {
+    fn new(registry: &Registry, shards: usize) -> Self {
         Metrics {
             frames_received: registry.counter("serve/frames/received"),
             frames_acked: registry.counter("serve/frames/acked"),
@@ -213,8 +228,10 @@ impl Metrics {
             conn_accepted: registry.counter("serve/conn/accepted"),
             conn_rejected: registry.counter("serve/conn/rejected"),
             queries: registry.counter("serve/queries"),
-            cut_wait_us: registry.histogram("serve/query/cut_wait_us"),
-            cut_held_us: registry.histogram("serve/query/cut_held_us"),
+            shard_answer_us: (0..shards)
+                .map(|i| registry.histogram(&format!("serve/query/shard{i}/answer_us")))
+                .collect(),
+            merge_us: registry.histogram("serve/query/merge_us"),
         }
     }
 }
@@ -277,20 +294,18 @@ impl DeltaCursor {
         }
     }
 
-    /// Brings the merged origin table up to the cut held by `shards`:
-    /// for each shard whose version moved since the last refresh, diff
-    /// its table against the cached snapshot and patch the merge (and
-    /// the pending delta) by the difference. Unchanged shards cost one
-    /// version compare. Counts are monotone per shard, so patching by
-    /// the diff is exact — `merged_origins` always equals a fresh
+    /// Brings the merged origin table up to a cut: each shard whose
+    /// version moved since the last refresh sent a copy of its table
+    /// in its part; diff it against the cached snapshot and patch the
+    /// merge (and the pending delta) by the difference. Unchanged
+    /// shards sent nothing. Counts are monotone per shard, so patching
+    /// by the diff is exact — `merged_origins` always equals a fresh
     /// all-shards merge at this cut.
-    fn refresh_origins(&mut self, shards: &[ShardGuard<'_>]) {
-        for (i, shard) in shards.iter().enumerate() {
-            let version = shard.version();
-            if self.origin_versions[i] == version {
+    fn refresh_origins(&mut self, parts: &mut [ShardPart]) {
+        for (i, part) in parts.iter_mut().enumerate() {
+            let Some(now) = part.origins.take() else {
                 continue;
-            }
-            let now = shard.origin_counts();
+            };
             let before = &self.shard_origins[i];
             for (function, count) in now.iter() {
                 let prev = before.get(function);
@@ -299,8 +314,138 @@ impl DeltaCursor {
                     *self.pending_origins.entry(function).or_insert(0) += signed_delta(count, prev);
                 }
             }
-            self.shard_origins[i].copy_from(now);
-            self.origin_versions[i] = version;
+            self.shard_origins[i] = now;
+            self.origin_versions[i] = part.version;
+        }
+    }
+
+    /// Folds a `QueryDelta` cut into the cursor: takes the parts of the
+    /// shards whose version moved and returns the change relative to
+    /// the cursor's last answers. A cut where no shard moved is an
+    /// empty reply at the new watermark, and the origin delta comes
+    /// from the patched merge — never a full all-shards rebuild.
+    fn advance(&mut self, applied: u64, mut parts: Vec<ShardPart>) -> DeltaCounts {
+        let mut changed = false;
+        for (i, part) in parts.iter().enumerate() {
+            if let Some(streams) = part.streams {
+                self.shard_streams[i] = streams;
+                self.shard_coverage[i] = part.coverage;
+                self.shard_versions[i] = part.version;
+                changed = true;
+            }
+        }
+        let mut delta = DeltaCounts {
+            applied,
+            ..DeltaCounts::default()
+        };
+        if !changed {
+            return delta;
+        }
+        let streams = merge_stream_counts(self.shard_streams.iter().copied());
+        let coverage = merge_coverage_counts(self.shard_coverage.iter().copied());
+        delta.non_repetitive =
+            signed_delta(streams.non_repetitive, self.last_streams.non_repetitive);
+        delta.new_stream = signed_delta(streams.new_stream, self.last_streams.new_stream);
+        delta.recurring_stream =
+            signed_delta(streams.recurring_stream, self.last_streams.recurring_stream);
+        delta.distinct_streams =
+            signed_delta(streams.distinct_streams, self.last_streams.distinct_streams);
+        delta.total = signed_delta(coverage.total, self.last_coverage.total);
+        delta.covered = signed_delta(coverage.covered, self.last_coverage.covered);
+        delta.issued = signed_delta(coverage.issued, self.last_coverage.issued);
+        self.refresh_origins(&mut parts);
+        // Origin counts are monotone, so a function can never
+        // vanish from the merged map — no removal pass needed.
+        delta.origins = self
+            .pending_origins
+            .iter()
+            .filter(|&(_, &moved)| moved != 0)
+            .map(|(&function, &moved)| (function, moved))
+            .collect();
+        delta
+            .origins
+            .sort_unstable_by_key(|&(function, _)| function);
+        self.pending_origins.clear();
+        self.last_streams = streams;
+        self.last_coverage = coverage;
+        delta
+    }
+}
+
+/// Which shards send one part of a query's answer.
+enum Need {
+    Nothing,
+    Every,
+    /// Shards whose version differs from the connection's, per shard.
+    Moved(Vec<u64>),
+}
+
+impl Need {
+    fn of(&self, index: usize, version: u64) -> bool {
+        match self {
+            Need::Nothing => false,
+            Need::Every => true,
+            Need::Moved(since) => since[index] != version,
+        }
+    }
+}
+
+/// What a query asks of every shard at its cut.
+struct CutRequest {
+    /// Stream counts: the one part that may walk a grammar (memoized
+    /// on the shard's version).
+    streams: Need,
+    /// A copy of the origin table.
+    origins: Need,
+}
+
+/// A consistent cut in flight: the marker every shard lane carries.
+struct QueryCut {
+    request: CutRequest,
+    /// When the marker went onto the lanes.
+    pushed: Instant,
+    parts: Cut<ShardPart>,
+}
+
+/// One shard's part of a query, computed by its worker exactly at the
+/// cut.
+struct ShardPart {
+    version: u64,
+    /// Present when the request's `streams` names this shard.
+    streams: Option<StreamCounts>,
+    coverage: CoverageCounts,
+    /// A copy of the origin table, when the request's `origins` names
+    /// this shard.
+    origins: Option<OriginTable>,
+    ingested: u64,
+    overflow: u64,
+    grammar_walks: u64,
+    /// From the marker push until this part was ready.
+    answer: Duration,
+}
+
+impl ShardPart {
+    /// `state`'s part of `cut`, where `state` is shard `index`.
+    fn of(state: &mut ShardState, index: usize, cut: &QueryCut) -> ShardPart {
+        let version = state.version();
+        let request = &cut.request;
+        let streams = request
+            .streams
+            .of(index, version)
+            .then(|| state.stream_counts());
+        let origins = request
+            .origins
+            .of(index, version)
+            .then(|| state.origin_counts().clone());
+        ShardPart {
+            version,
+            streams,
+            coverage: state.coverage_counts(),
+            origins,
+            ingested: state.ingested(),
+            overflow: state.overflow(),
+            grammar_walks: state.grammar_walks(),
+            answer: cut.pushed.elapsed(),
         }
     }
 }
@@ -310,10 +455,7 @@ struct Shared {
     local_addr: SocketAddr,
     registry: Arc<Registry>,
     metrics: Metrics,
-    shard_queues: ShardQueues<MissRecord<MissClass>>,
-    shard_states: Vec<Mutex<ShardState>>,
-    progress: Mutex<Progress>,
-    applied_cv: Condvar,
+    shard_queues: ShardQueues<MissRecord<MissClass>, QueryCut>,
     lifecycle: Mutex<Phase>,
     drained_cv: Condvar,
     /// Shard workers that have finished their lane; the last one out
@@ -323,6 +465,22 @@ struct Shared {
     /// Remaining reader panics to inject (test hook, see
     /// [`ServerConfig::fault_conn_panics`]).
     fault_conn_panics: Mutex<usize>,
+}
+
+/// The error reply to a request the queues refused: draining, or a
+/// failed shard lane. (`Full` never reaches here: ingest answers it
+/// `Busy`, and cut markers do not count against capacity.)
+fn refusal(err: &PushError<()>) -> Frame {
+    match err {
+        PushError::Failed(()) => Frame::Error {
+            code: ERR_SHARD_FAILED,
+            message: "a shard worker failed".to_string(),
+        },
+        PushError::Draining(()) | PushError::Full(()) => Frame::Error {
+            code: ERR_DRAINING,
+            message: "server is draining".to_string(),
+        },
+    }
 }
 
 impl Shared {
@@ -352,38 +510,42 @@ impl Shared {
         }
     }
 
-    /// Blocks until every record acked so far is applied to shard
-    /// state (read-your-writes for queries); returns that watermark.
-    fn wait_applied(&self) -> u64 {
-        let mut p = self.progress.lock();
-        let target = p.enqueued;
-        while p.applied < target {
-            p = self.applied_cv.wait(p);
-        }
-        target
-    }
-
-    /// Waits out in-flight ingest, then locks every shard (index
-    /// order) and merges with `f` — a consistent cut across shards.
-    /// `f` also receives the applied watermark of the cut. Guards are
-    /// handed out mutably so queries can hit the per-shard caches.
+    /// Takes a consistent cut: pushes a marker onto every shard lane,
+    /// waits until every shard worker has answered its part, and
+    /// merges the parts (in shard order) into the reply with `f`, which
+    /// also receives the cut's watermark — the records admitted before
+    /// the marker. When the cut cannot be taken (the server is
+    /// draining, or a shard worker failed) the reply is that error.
     ///
-    /// Records one `serve/query/cut_wait_us` sample (the watermark
-    /// wait) and one `serve/query/cut_held_us` sample (from the last
-    /// guard taken to the guards' release) per cut, both after the
-    /// guards are released — so a metrics snapshot shows the cuts
-    /// before its own.
-    fn with_consistent_cut<T>(&self, f: impl FnOnce(u64, &mut [ShardGuard<'_>]) -> T) -> T {
-        let start = Instant::now();
-        let applied = self.wait_applied();
-        let waited = start.elapsed();
-        let mut guards: Vec<ShardGuard<'_>> = self.shard_states.iter().map(Mutex::lock).collect();
-        let locked = Instant::now();
-        let out = f(applied, &mut guards);
-        drop(guards);
-        let held = locked.elapsed();
-        self.metrics.cut_wait_us.record(micros(waited));
-        self.metrics.cut_held_us.record(micros(held));
+    /// Records one `serve/query/shard{i}/answer_us` sample per shard
+    /// and one `serve/query/merge_us` sample per cut, after `f`
+    /// returns — so a metrics snapshot shows the cuts before its own.
+    fn at_cut(&self, request: CutRequest, f: impl FnOnce(u64, Vec<ShardPart>) -> Frame) -> Frame {
+        let cut = Arc::new(QueryCut {
+            request,
+            pushed: Instant::now(),
+            parts: Cut::new(self.shard_queues.lanes()),
+        });
+        let watermark = match self.shard_queues.try_push_cut(&cut) {
+            Ok(watermark) => watermark,
+            Err(e) => return refusal(&e),
+        };
+        let Ok(parts) = cut.parts.wait() else {
+            return refusal(&PushError::Failed(()));
+        };
+        debug_assert_eq!(
+            parts.iter().map(|p| p.ingested).sum::<u64>(),
+            watermark,
+            "the shards' parts sit exactly at the cut's watermark"
+        );
+        let merging = Instant::now();
+        let answers: Vec<Duration> = parts.iter().map(|p| p.answer).collect();
+        let out = f(watermark, parts);
+        let merged = merging.elapsed();
+        for (histogram, answer) in self.metrics.shard_answer_us.iter().zip(answers) {
+            histogram.record(micros(answer));
+        }
+        self.metrics.merge_us.record(micros(merged));
         out
     }
 
@@ -402,6 +564,10 @@ impl Shared {
         scratch: &mut [Vec<MissRecord<MissClass>>],
     ) -> (Frame, bool) {
         self.metrics.frames_received.inc();
+        let plain = |streams| CutRequest {
+            streams,
+            origins: Need::Nothing,
+        };
         match frame {
             Frame::Ingest(mut records) => {
                 let n = records.len() as u64;
@@ -415,29 +581,20 @@ impl Shared {
                         scratch[shard_of(r.block.raw(), lanes)].push(r);
                     }
                 }
-                let reply = {
-                    // Push and ack-count in one critical section so
-                    // `applied` can never outrun `enqueued`.
-                    let mut p = self.progress.lock();
-                    match self.shard_queues.try_push_batches(scratch) {
-                        Ok(()) => {
-                            p.enqueued += n;
-                            self.metrics.frames_acked.inc();
-                            self.metrics.records_ingested.add(n);
-                            Frame::IngestAck(n as u32)
-                        }
-                        Err(PushError::Full(())) => {
-                            self.metrics.frames_busy.inc();
-                            self.metrics.records_rejected.add(n);
-                            Frame::Busy
-                        }
-                        Err(PushError::Draining(())) => {
-                            self.metrics.frames_errors.inc();
-                            Frame::Error {
-                                code: ERR_DRAINING,
-                                message: "server is draining".to_string(),
-                            }
-                        }
+                let reply = match self.shard_queues.try_push_batches(scratch) {
+                    Ok(()) => {
+                        self.metrics.frames_acked.inc();
+                        self.metrics.records_ingested.add(n);
+                        Frame::IngestAck(n as u32)
+                    }
+                    Err(PushError::Full(())) => {
+                        self.metrics.frames_busy.inc();
+                        self.metrics.records_rejected.add(n);
+                        Frame::Busy
+                    }
+                    Err(e) => {
+                        self.metrics.frames_errors.inc();
+                        refusal(&e)
                     }
                 };
                 if !matches!(reply, Frame::IngestAck(_)) {
@@ -455,58 +612,67 @@ impl Shared {
             }
             Frame::QueryStreamFraction => {
                 self.metrics.queries.inc();
-                let counts = self.with_consistent_cut(|_applied, shards| {
-                    merge_stream_counts(shards.iter_mut().map(|s| s.stream_counts()))
-                });
-                (
+                let reply = self.at_cut(plain(Need::Every), |_, parts| {
+                    let counts = merge_stream_counts(parts.iter().filter_map(|p| p.streams));
                     Frame::StreamFractionReply {
                         non_repetitive: counts.non_repetitive,
                         new_stream: counts.new_stream,
                         recurring_stream: counts.recurring_stream,
                         distinct_streams: counts.distinct_streams,
-                    },
-                    true,
-                )
+                    }
+                });
+                (reply, true)
             }
             Frame::QueryCoverage => {
                 self.metrics.queries.inc();
-                let cov = self.with_consistent_cut(|_applied, shards| {
-                    merge_coverage_counts(shards.iter().map(|s| s.coverage_counts()))
-                });
-                (
+                let reply = self.at_cut(plain(Need::Nothing), |_, parts| {
+                    let cov = merge_coverage_counts(parts.iter().map(|p| p.coverage));
                     Frame::CoverageReply {
                         total: cov.total,
                         covered: cov.covered,
                         issued: cov.issued,
-                    },
-                    true,
-                )
+                    }
+                });
+                (reply, true)
             }
             Frame::QueryTopOrigins(n) => {
                 self.metrics.queries.inc();
                 // Served from the cursor's patched merge: only shards
                 // whose version moved since this connection last looked
-                // are diffed; the top-n sort runs on the cached table.
-                let rows = self.with_consistent_cut(|_applied, shards| {
-                    cursor.refresh_origins(shards);
-                    cursor.merged_origins.top_n(n as usize)
+                // send their table; the top-n sort runs on the cached
+                // table.
+                let request = CutRequest {
+                    streams: Need::Nothing,
+                    origins: Need::Moved(cursor.origin_versions.clone()),
+                };
+                let reply = self.at_cut(request, |_, mut parts| {
+                    cursor.refresh_origins(&mut parts);
+                    Frame::TopOriginsReply(cursor.merged_origins.top_n(n as usize))
                 });
-                (Frame::TopOriginsReply(rows), true)
+                (reply, true)
             }
             Frame::QueryDelta => {
                 self.metrics.queries.inc();
-                (Frame::DeltaReply(self.delta_since(cursor)), true)
+                // Only shards whose version moved since this cursor's
+                // last delta send counts, so a quiet shard never walks.
+                let request = CutRequest {
+                    streams: Need::Moved(cursor.shard_versions.clone()),
+                    origins: Need::Moved(cursor.origin_versions.clone()),
+                };
+                let reply = self.at_cut(request, |applied, parts| {
+                    Frame::DeltaReply(cursor.advance(applied, parts))
+                });
+                (reply, true)
             }
             Frame::QueryMetricsSnapshot => {
                 self.metrics.queries.inc();
-                // Gauges and the snapshot render on the same cut the
-                // other queries use, so `in_state` can never disagree
-                // with `applied` inside one snapshot.
-                let json = self.with_consistent_cut(|_applied, shards| {
-                    self.export_gauges(shards);
-                    self.registry.snapshot().render()
+                // Gauges come from the shards' parts at the cut, so
+                // `in_state` is exactly the cut's watermark.
+                let reply = self.at_cut(plain(Need::Nothing), |_, parts| {
+                    self.export_gauges(&parts);
+                    Frame::MetricsReply(self.registry.snapshot().render())
                 });
-                (Frame::MetricsReply(json), true)
+                (reply, true)
             }
             Frame::Shutdown => {
                 self.metrics.frames_shutdown.inc();
@@ -539,69 +705,9 @@ impl Shared {
         }
     }
 
-    /// Incremental answer: takes a consistent cut, re-snapshots only
-    /// the shards whose version moved since `cursor`, and returns the
-    /// change relative to the cursor's last answers. A cut where no
-    /// shard moved is answered without walking any grammar, and the
-    /// origin delta comes from the cursor's patched merge — never a
-    /// full all-shards rebuild.
-    fn delta_since(&self, cursor: &mut DeltaCursor) -> DeltaCounts {
-        self.with_consistent_cut(|applied, shards| {
-            let mut changed = false;
-            for (i, shard) in shards.iter_mut().enumerate() {
-                if cursor.shard_versions[i] != shard.version() {
-                    cursor.shard_streams[i] = shard.stream_counts();
-                    cursor.shard_coverage[i] = shard.coverage_counts();
-                    cursor.shard_versions[i] = shard.version();
-                    changed = true;
-                }
-            }
-            let mut delta = DeltaCounts {
-                applied,
-                ..DeltaCounts::default()
-            };
-            if !changed {
-                return delta;
-            }
-            let streams = merge_stream_counts(cursor.shard_streams.iter().copied());
-            let coverage = merge_coverage_counts(cursor.shard_coverage.iter().copied());
-            delta.non_repetitive =
-                signed_delta(streams.non_repetitive, cursor.last_streams.non_repetitive);
-            delta.new_stream = signed_delta(streams.new_stream, cursor.last_streams.new_stream);
-            delta.recurring_stream = signed_delta(
-                streams.recurring_stream,
-                cursor.last_streams.recurring_stream,
-            );
-            delta.distinct_streams = signed_delta(
-                streams.distinct_streams,
-                cursor.last_streams.distinct_streams,
-            );
-            delta.total = signed_delta(coverage.total, cursor.last_coverage.total);
-            delta.covered = signed_delta(coverage.covered, cursor.last_coverage.covered);
-            delta.issued = signed_delta(coverage.issued, cursor.last_coverage.issued);
-            cursor.refresh_origins(shards);
-            // Origin counts are monotone, so a function can never
-            // vanish from the merged map — no removal pass needed.
-            delta.origins = cursor
-                .pending_origins
-                .iter()
-                .filter(|&(_, &moved)| moved != 0)
-                .map(|(&function, &moved)| (function, moved))
-                .collect();
-            delta
-                .origins
-                .sort_unstable_by_key(|&(function, _)| function);
-            cursor.pending_origins.clear();
-            cursor.last_streams = streams;
-            cursor.last_coverage = coverage;
-            delta
-        })
-    }
-
-    /// Publishes point-in-time gauges right before a snapshot; called
-    /// with the shard guards of the consistent cut the snapshot renders
-    /// on (never locks shards itself — that would tear the cut).
-    fn export_gauges(&self, shards: &[ShardGuard<'_>]) {
+    /// Publishes point-in-time gauges right before a snapshot, from
+    /// the shards' parts of the cut the snapshot renders on.
+    fn export_gauges(&self, parts: &[ShardPart]) {
         for i in 0..self.shard_queues.lanes() {
             self.registry
                 .gauge(&format!("serve/queue/shard{i}/max_depth"))
@@ -615,25 +721,20 @@ impl Shared {
             .gauge("serve/conn/peak")
             .set(conns.peak as u64);
         drop(conns);
-        let mut applied = 0u64;
-        let mut overflow = 0u64;
-        let mut walks = 0u64;
-        for s in shards {
-            applied += s.ingested();
-            overflow += s.overflow();
-            walks += s.grammar_walks();
-        }
-        self.registry.gauge("serve/records/in_state").set(applied);
-        self.registry.gauge("serve/records/overflow").set(overflow);
+        let sum = |field: fn(&ShardPart) -> u64| parts.iter().map(field).sum::<u64>();
+        self.registry
+            .gauge("serve/records/in_state")
+            .set(sum(|p| p.ingested));
+        self.registry
+            .gauge("serve/records/overflow")
+            .set(sum(|p| p.overflow));
         // Grammar root walks = StreamCounts cache misses across shards;
         // tests assert unchanged shards never move this.
         self.registry
             .gauge("serve/analysis/grammar_walks")
-            .set(walks);
+            .set(sum(|p| p.grammar_walks));
     }
 }
-
-type ShardGuard<'a> = tempstream_runtime::sync::MutexGuard<'a, ShardState>;
 
 /// The reply stream between one connection's reader and writer: the
 /// echoed sequence id (None for v1 requests) plus the reply frame.
@@ -673,7 +774,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
         return;
     }
     let mut asm = MessageAssembler::new();
-    let mut cursor = DeltaCursor::new(shared.shard_states.len());
+    let mut cursor = DeltaCursor::new(shared.shard_queues.lanes());
     // Per-connection routing scratch, one slot per shard; admission
     // swaps accepted slots for recycled buffers, so after warm-up the
     // split allocates nothing.
@@ -786,36 +887,77 @@ fn reject_drain_backlog(listener: &TcpListener, first: TcpStream, shared: &Share
     }
 }
 
-/// Shard worker: applies routed sub-batches from this shard's lane to
-/// its state, recycling emptied buffers. The last worker to finish its
-/// lane after a drain flips the lifecycle to `Drained`.
-fn run_shard(shared: &Shared, index: usize) {
-    while let Some(batch) = shared.shard_queues.pop(index) {
-        let n = batch.len() as u64;
-        {
-            let mut state = shared.shard_states[index].lock();
-            for r in &batch {
-                state.apply(r);
+/// Shard worker: owns shard `index`'s state, applies routed
+/// sub-batches from its lane (recycling emptied buffers) and answers
+/// each cut marker with its part at exactly that point of the lane.
+/// `fault_panic` is the [`ServerConfig::fault_shard_panics`] hook.
+fn run_shard(shared: &Shared, index: usize, config: ShardConfig, fault_panic: bool) {
+    let mut exit = ShardExit {
+        shared,
+        index,
+        answering: None,
+    };
+    let mut state = ShardState::new(config);
+    while let Some(item) = shared.shard_queues.pop(index) {
+        if let LaneItem::Marker(cut) = &item {
+            exit.answering = Some(Arc::clone(cut));
+        }
+        if fault_panic {
+            panic!("injected shard-worker fault (test hook)");
+        }
+        match item {
+            LaneItem::Batch(batch) => {
+                for r in &batch {
+                    state.apply(r);
+                }
+                shared.metrics.records_applied.add(batch.len() as u64);
+                shared.shard_queues.recycle(batch);
+            }
+            LaneItem::Marker(cut) => {
+                let part = ShardPart::of(&mut state, index, &cut);
+                exit.answering = None;
+                cut.parts.answer(index, part);
             }
         }
-        shared.shard_queues.recycle(batch);
-        shared.metrics.records_applied.add(n);
-        let mut p = shared.progress.lock();
-        p.applied += n;
-        drop(p);
-        shared.applied_cv.notify_all();
     }
-    // Lane closed and fully applied. The last worker out observes the
-    // full count and completes the drain handshake.
-    let mut done = shared.shards_done.lock();
-    *done += 1;
-    let all_done = *done == shared.shard_queues.lanes();
-    drop(done);
-    if all_done {
-        let mut phase = shared.lifecycle.lock();
-        *phase = Phase::Drained;
-        drop(phase);
-        shared.drained_cv.notify_all();
+}
+
+/// Ends a shard worker on drop — also when it unwinds. A panicking
+/// worker first fails its lane: the cut it was answering and the cuts
+/// queued on it fail (their readers answer `ERR_SHARD_FAILED`), later
+/// ingest and cuts touching it are refused, and the guard waits for the
+/// drain like a worker whose lane emptied. Either way the last worker
+/// out flips the lifecycle to `Drained`; the pool re-raises the panic
+/// after that.
+struct ShardExit<'a> {
+    shared: &'a Shared,
+    index: usize,
+    /// The cut whose part the worker is computing, if any.
+    answering: Option<Arc<QueryCut>>,
+}
+
+impl Drop for ShardExit<'_> {
+    fn drop(&mut self) {
+        let queues = &self.shared.shard_queues;
+        if std::thread::panicking() {
+            let queued = queues.fail(self.index);
+            for cut in self.answering.take().into_iter().chain(queued) {
+                cut.parts.fail();
+            }
+            // Nothing can be queued on a failed lane; this returns
+            // `None` once the queues drain.
+            while queues.pop(self.index).is_some() {}
+        }
+        let mut done = self.shared.shards_done.lock();
+        *done += 1;
+        let all_done = *done == queues.lanes();
+        drop(done);
+        if all_done {
+            let mut phase = self.shared.lifecycle.lock();
+            *phase = Phase::Drained;
+            drop(phase);
+            self.shared.drained_cv.notify_all();
+        }
     }
 }
 
@@ -880,13 +1022,8 @@ impl Server {
         let shared = Shared {
             local_addr,
             registry: Arc::clone(&self.registry),
-            metrics: Metrics::new(&self.registry),
+            metrics: Metrics::new(&self.registry, shards),
             shard_queues: ShardQueues::new(shards, config.shard_queue_capacity),
-            shard_states: (0..shards)
-                .map(|_| Mutex::new(ShardState::new(config.shard)))
-                .collect(),
-            progress: Mutex::new(Progress::default()),
-            applied_cv: Condvar::new(),
             lifecycle: Mutex::new(Phase::Running),
             drained_cv: Condvar::new(),
             shards_done: Mutex::new(0),
@@ -901,7 +1038,8 @@ impl Server {
         let workers = shards + 2 * config.max_connections;
         pool::scope(workers, move |p| {
             for index in 0..shards {
-                p.spawn(move |_| run_shard(shared, index));
+                let fault_panic = index < config.fault_shard_panics;
+                p.spawn(move |_| run_shard(shared, index, config.shard, fault_panic));
             }
 
             loop {

@@ -10,8 +10,9 @@
 //! the same trace always shards the same way in any process, which is
 //! what makes the offline comparator ([`crate::offline`]) bit-exact.
 //!
-//! Queries snapshot a shard under its lock and merge across shards with
-//! the engine's `merge_*` functions (re-exported below); the offline
+//! Each shard's worker computes its part of a query at the query's cut
+//! marker, and the reader merges the parts across shards with the
+//! engine's `merge_*` functions (re-exported below); the offline
 //! comparator reuses the same engine *and* the same merge functions, so
 //! online and offline answers can only differ if the transport layer
 //! reorders or drops records — which is exactly what the loopback tests
@@ -100,8 +101,8 @@ impl ShardState {
     /// the root walk only runs when the shard has ingested since the
     /// previous call, so repeated queries against a quiet shard are
     /// O(1). The cache can never serve a stale answer because
-    /// `version()` advances on every applied record and queries read
-    /// under the shard lock.
+    /// `version()` advances on every applied record and only the
+    /// shard's own worker applies records and reads the cache.
     pub fn stream_counts(&mut self) -> StreamCounts {
         self.engine.stream_counts()
     }

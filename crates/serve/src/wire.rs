@@ -71,6 +71,9 @@ pub const ERR_DRAINING: u16 = 2;
 /// over protocol v2, which splits oversized replies into continuation
 /// frames).
 pub const ERR_OVERSIZED: u16 = 3;
+/// Error code: a shard worker failed, so the server can no longer
+/// answer queries or apply ingest routed to that shard.
+pub const ERR_SHARD_FAILED: u16 = 4;
 
 /// Counter changes since a connection's last delta cut (protocol v2).
 ///

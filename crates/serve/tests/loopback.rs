@@ -10,7 +10,7 @@ use tempstream_serve::offline;
 use tempstream_serve::shard::{shard_of, ShardConfig};
 use tempstream_serve::wire::{
     read_frame, read_message, write_frame, write_message, DeltaCounts, Frame, MessageReader,
-    ERR_BAD_FRAME, ERR_DRAINING, ERR_OVERSIZED, MAX_FRAME_BYTES,
+    ERR_BAD_FRAME, ERR_DRAINING, ERR_OVERSIZED, ERR_SHARD_FAILED, MAX_FRAME_BYTES,
 };
 use tempstream_serve::{Server, ServerConfig};
 use tempstream_trace::miss::MissRecord;
@@ -365,7 +365,7 @@ fn query_delta(stream: &mut TcpStream, seq: u32) -> DeltaCounts {
 }
 
 /// Telescoping accumulator over a connection's `DeltaReply` stream.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct DeltaAcc {
     applied: u64,
     non_repetitive: i64,
@@ -772,6 +772,166 @@ fn panicking_connection_handler_frees_its_slot() {
     );
 }
 
+/// A shard worker that panics fails its lane instead of hanging the
+/// server: every query — whether the worker died answering its cut
+/// marker, the marker was queued behind the fatal batch, or it was
+/// pushed after the lane failed — is answered `Error{ERR_SHARD_FAILED}`,
+/// ingest routed to the dead shard gets the same error while ingest for
+/// the live shard is still acked, the drain completes, and `run`
+/// re-raises the panic. The client runs under a watchdog, so a hang
+/// fails the test instead of stalling the run.
+#[test]
+fn panicked_shard_worker_fails_queries_instead_of_hanging() {
+    let records = seeded_records(0xdead, 600);
+    let lane = |shard: usize| -> Vec<_> {
+        records
+            .iter()
+            .copied()
+            .filter(|r| shard_of(r.block.raw(), 2) == shard)
+            .collect()
+    };
+    let (to_dead, to_live) = (lane(0), lane(1));
+    assert!(
+        to_dead.len() >= 100 && to_live.len() >= 50,
+        "both lanes fed"
+    );
+    // The worker of shard 0 dies on its lane's first item: a sub-batch
+    // when ingest comes first, the cut marker when a query does.
+    for query_first in [false, true] {
+        let (addr, handle) = start_server(ServerConfig {
+            shards: 2,
+            fault_shard_panics: 1,
+            ..ServerConfig::default()
+        });
+        let (to_dead, to_live) = (to_dead.clone(), to_live.clone());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let client = thread::spawn(move || {
+            let expect_failed = |reply: Frame| match reply {
+                Frame::Error { code, .. } => assert_eq!(code, ERR_SHARD_FAILED),
+                other => panic!("expected a shard-failed error, got {other:?}"),
+            };
+            let mut conn = TcpStream::connect(&addr).expect("connect");
+            if query_first {
+                expect_failed(call(&mut conn, &Frame::QueryCoverage));
+            } else {
+                assert_eq!(
+                    call(&mut conn, &Frame::Ingest(to_dead[..50].to_vec())),
+                    Frame::IngestAck(50)
+                );
+            }
+            for request in [
+                Frame::QueryStreamFraction,
+                Frame::QueryCoverage,
+                Frame::QueryTopOrigins(3),
+                Frame::QueryMetricsSnapshot,
+            ] {
+                expect_failed(call(&mut conn, &request));
+            }
+            expect_failed(call_v2(&mut conn, 1, &Frame::QueryDelta));
+            expect_failed(call(&mut conn, &Frame::Ingest(to_dead[50..100].to_vec())));
+            assert_eq!(
+                call(&mut conn, &Frame::Ingest(to_live[..50].to_vec())),
+                Frame::IngestAck(50),
+                "the live shard keeps taking its own records"
+            );
+            shutdown(&mut conn);
+            done_tx.send(()).expect("watchdog listening");
+        });
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert!(
+            !matches!(finished, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "client hung (query_first={query_first}): a dead shard worker \
+             must fail queries, not block them"
+        );
+        client.join().expect("client assertions");
+        assert!(
+            handle.join().is_err(),
+            "the shard worker's panic resurfaces at run() exit"
+        );
+    }
+}
+
+/// Every `DeltaReply` sits exactly at its watermark: while one
+/// connection pipelines ingest, another polls `QueryDelta`, and after
+/// each reply the accumulated deltas equal the offline answers over
+/// exactly the first `applied` records in ack order — never a state
+/// that already holds records past its watermark.
+#[test]
+fn every_delta_is_exact_at_its_watermark() {
+    let records = seeded_records(0x3a7e, 3000);
+    let total = records.len() as u64;
+    for shards in [1usize, 2, 4] {
+        let (addr, handle) = start_server(ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        });
+        let poller = {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                let mut conn = TcpStream::connect(&addr).expect("connect");
+                let mut acc = DeltaAcc::default();
+                let mut seen = Vec::new();
+                for seq in 0u32.. {
+                    acc.absorb(&query_delta(&mut conn, seq));
+                    seen.push(acc.clone());
+                    if acc.applied == total {
+                        break;
+                    }
+                }
+                seen
+            })
+        };
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let (effective, _) = ingest_pipelined(&mut conn, &records, 50, 8, usize::MAX);
+        let seen = poller.join().expect("poller");
+        let mut comparator = offline::Comparator::new(shards, ShardConfig::default());
+        let mut origins: HashMap<u32, i64> = HashMap::new();
+        for acc in &seen {
+            let upto = usize::try_from(acc.applied).expect("watermark fits usize");
+            let fresh = &effective[comparator.pushed() as usize..upto];
+            for r in fresh {
+                *origins.entry(r.function.raw()).or_insert(0) += 1;
+            }
+            comparator.push(fresh);
+            let want = comparator.expected(0);
+            let at = format!("shards={shards} applied={upto}");
+            assert_eq!(
+                (
+                    acc.non_repetitive,
+                    acc.new_stream,
+                    acc.recurring_stream,
+                    acc.distinct_streams
+                ),
+                (
+                    signed(want.streams.non_repetitive),
+                    signed(want.streams.new_stream),
+                    signed(want.streams.recurring_stream),
+                    signed(want.streams.distinct_streams)
+                ),
+                "{at}"
+            );
+            assert_eq!(
+                (acc.total, acc.covered, acc.issued),
+                (
+                    signed(want.coverage.total),
+                    signed(want.coverage.covered),
+                    signed(want.coverage.issued)
+                ),
+                "{at}"
+            );
+            let got: HashMap<u32, i64> = acc
+                .origins
+                .iter()
+                .filter(|&(_, &n)| n != 0)
+                .map(|(&id, &n)| (id, n))
+                .collect();
+            assert_eq!(got, origins, "{at}");
+        }
+        shutdown(&mut conn);
+        handle.join().expect("server thread").expect("server run");
+    }
+}
+
 /// Satellite 4 (drain half): a client whose connect races the drain
 /// used to be silently dropped; now it gets `Error{ERR_DRAINING}`.
 #[test]
@@ -831,7 +991,7 @@ fn metrics_snapshot_gauges_sit_on_the_query_cut() {
             let ingested = at("counters/serve/records/ingested");
             let in_state = at("gauges/serve/records/in_state");
             assert_eq!(applied, records.len() as u64);
-            assert_eq!(ingested, applied, "cut taken after wait_applied");
+            assert_eq!(ingested, applied, "the cut sits behind every acked frame");
             assert_eq!(in_state, applied, "gauges share the counters' cut");
         }
         other => panic!("unexpected reply: {other:?}"),
@@ -1162,9 +1322,9 @@ fn frame_outcomes_add_up_to_frames_received() {
     handle.join().expect("server thread").expect("server run");
 }
 
-/// Each consistent cut records one watermark-wait and one guards-held
-/// sample, after it releases the guards: a snapshot taken after N cut
-/// queries shows N samples in each histogram.
+/// Each consistent cut records one answer-time sample per shard and
+/// one merge-time sample, after its merge: a snapshot taken after N
+/// cut queries shows N samples in each histogram.
 #[test]
 fn every_consistent_cut_is_timed() {
     let records = seeded_records(0xc07, 1200);
@@ -1184,12 +1344,14 @@ fn every_consistent_cut_is_timed() {
     }
     // A metrics snapshot is a cut too; it shows the cuts before it.
     let at = metrics(&mut conn);
-    assert_eq!(at("histograms/serve/query/cut_wait_us/count"), cuts);
-    assert_eq!(at("histograms/serve/query/cut_held_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/shard0/answer_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/shard1/answer_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/merge_us/count"), cuts);
     cuts += 1;
     let at = metrics(&mut conn);
-    assert_eq!(at("histograms/serve/query/cut_wait_us/count"), cuts);
-    assert_eq!(at("histograms/serve/query/cut_held_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/shard0/answer_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/shard1/answer_us/count"), cuts);
+    assert_eq!(at("histograms/serve/query/merge_us/count"), cuts);
     shutdown(&mut conn);
     handle.join().expect("server thread").expect("server run");
 }
