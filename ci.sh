@@ -25,12 +25,15 @@
 #      must account for every frame received by its outcome and show
 #      every ingested record applied and every cut timed per shard, and
 #      the server must drain cleanly.
-#      Run twice: half-duplex v1, then pipelined v2 (--window 8 with
-#      interleaved QueryDelta probes)
+#      Run twice over the same client loop, with QueryDelta probes
+#      interleaved into the ingest: one frame in flight (--window 1),
+#      then eight (--window 8)
 #  11. serve throughput gate: over five alternating pairs of runs, each
 #      against a fresh server, the median ratio of pipelined
 #      (--window 8) to single-in-flight throughput must not fall below
-#      1.0 (0.8 on one core)
+#      1.0 (0.8 on one core), and the server's most requests decoded
+#      from one read must be exactly 1 at window 1 and at least 2 at
+#      window 8
 #  12. perf smoke gate: the pipeline at 4 workers must not be slower
 #      than at 1 worker (reduced sample count via
 #      TEMPSTREAM_BENCH_SAMPLES), plus the serve ingest bench emitting
@@ -148,11 +151,13 @@ jq -e '.metrics.gauges.sequitur.digram_index_bytes > 0' "$det_dir/metrics.json" 
 jq -e '.runtime.workers == ([.meta.jobs, .meta.host_cores] | min)' "$det_dir/metrics4.json" >/dev/null \
   || { echo "metrics gate FAILED: runtime.workers is not min(jobs, host_cores)"; jq '.meta, .runtime.workers' "$det_dir/metrics4.json"; exit 1; }
 
-echo "== serve soak: loopback ingest + verify + drain =="
-# A real server process on an ephemeral loopback port, a real client.
-# serve-load --verify recomputes the answers offline (same shard hash,
-# same batch stages) and fails on any mismatch; one connection makes
-# the check bit-exact. The snapshot then proves every frame was
+echo "== serve soak: loopback ingest + verify + drain (window=1) =="
+# A real server process on an ephemeral loopback port, a real client
+# with one frame in flight. serve-load --verify recomputes the answers
+# offline (same shard hash, same batch stages) and fails on any
+# mismatch; one connection makes the check bit-exact, and the
+# QueryDelta probes it interleaves into the ingest must telescope to
+# the same answers. The snapshot then proves every frame was
 # accounted for: the frames received equal those acked, refused with
 # Busy, answered with an error, queries and shutdowns, and every
 # ingested record was applied; every query before the snapshot was a
@@ -168,6 +173,8 @@ wait "$serve_pid" \
 grep -q '^DRAINED$' "$det_dir/serve.out" \
   || { echo "serve soak FAILED: server never reported a clean drain"; exit 1; }
 jq -e '.verify == "exact"
+       and .window == 1
+       and .delta_queries > 0
        and (.metrics.counters.serve as $s
             | $s.frames.acked > 0
               and $s.frames.received == $s.frames.acked + $s.frames.busy + $s.frames.errors
@@ -180,13 +187,13 @@ jq -e '.verify == "exact"
             | all(. == $cuts))' \
     "$det_dir/serve_metrics.json" >/dev/null \
   || { echo "serve soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve_metrics.json"; exit 1; }
-echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, $(jq -r '.metrics.counters.serve.frames.received' "$det_dir/serve_metrics.json") frames accounted for, clean drain"
+echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, $(jq -r '.metrics.counters.serve.frames.received' "$det_dir/serve_metrics.json") frames accounted for, $(jq -r '.delta_queries' "$det_dir/serve_metrics.json") delta queries, clean drain"
 
 echo "== serve soak: pipelined window=8 + incremental deltas =="
-# Same soak over protocol v2: eight frames in flight on one connection
-# with QueryDelta probes interleaved. Verification is still bit-exact:
-# the client reconstructs the ack order and telescopes the deltas
-# against the offline comparator. Throughput is the next gate's job.
+# The same soak with eight frames in flight on one connection.
+# Verification is still bit-exact: the client reconstructs the ack
+# order and telescopes the deltas against the offline comparator.
+# Throughput is the next gate's job.
 start_server "$det_dir/serve8.out" "$det_dir/serve8.err"
 [ -n "$serve_addr" ] \
   || { echo "pipelined soak FAILED: server never printed LISTENING"; cat "$det_dir/serve8.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
@@ -229,6 +236,11 @@ echo "== serve throughput: pipelined window=8 vs window=1 =="
 # pipelining to hide, so — like the perf smoke gate below — the
 # single-core form of the gate only demands the pipelined path stays
 # within 20% of the baseline instead of beating it.
+# Each run must also show how many frames it kept in flight: the
+# server's serve/conn/max_frames_per_read gauge (the most requests one
+# connection reader decoded from one read) is exactly 1 when the client
+# waits for every reply, and reaches 2 or more only when requests
+# overlap.
 ratios=""
 for run in 1 2 3 4 5; do
   for window in 1 8; do
@@ -243,6 +255,9 @@ for run in 1 2 3 4 5; do
       || { echo "serve throughput FAILED: serve-load exited non-zero (run $run, window $window)"; kill "$serve_pid" 2>/dev/null; exit 1; }
     wait "$serve_pid" \
       || { echo "serve throughput FAILED: server exited non-zero"; exit 1; }
+    jq -e --argjson w "$window" '.metrics.gauges.serve.conn.max_frames_per_read
+                                  | if $w == 1 then . == 1 else . >= 2 end' "$tput.json" >/dev/null \
+      || { echo "serve throughput FAILED: max_frames_per_read $(jq -r '.metrics.gauges.serve.conn.max_frames_per_read' "$tput.json") at window $window (run $run)"; exit 1; }
   done
   ratios="$ratios $(jq -rs '.[1].records_per_sec / .[0].records_per_sec' \
     "$det_dir/tput_${run}_w1.json" "$det_dir/tput_${run}_w8.json")"

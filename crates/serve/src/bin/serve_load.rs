@@ -1,24 +1,22 @@
 //! `serve-load`: the in-tree load generator and verification client.
 //!
 //! Replays a seeded workload trace over N connections against a
-//! running `serve` instance, retrying `Busy` backpressure replies with
-//! exponential backoff and recording per-frame ingest latency in an
-//! obsv histogram. With `--window W` (W > 1) each connection speaks
-//! protocol v2 and keeps up to W frames in flight, matching replies to
-//! requests by their echoed sequence id; with `--verify` it also
-//! interleaves incremental `QueryDelta` frames into the pipeline and
-//! checks that the accumulated deltas telescope to the absolute
-//! answers.
+//! running `serve` instance and records per-frame ingest latency in an
+//! obsv histogram. Each connection keeps up to `--window W` frames in
+//! flight (default 1), matching replies to requests by their echoed
+//! sequence id, and retries `Busy` backpressure replies with one
+//! exponential-backoff pause per refused burst.
 //!
-//! With `--verify` it then queries the server and checks the answers
-//! against the offline batch comparator
-//! ([`tempstream_serve::offline::expected`]); with a single connection
-//! the check is **bit-exact** — under pipelining the effective ingest
-//! order is reconstructed from the ack order (replies are FIFO per
-//! connection, so ack order *is* admission order) — with several
-//! connections it checks the order-independent answers (totals and top
-//! origins). Emits a JSON summary (client latency + the server's full
-//! metrics snapshot) on stdout and optionally to `--metrics-out`.
+//! With `--verify` it checks the answers against the offline batch
+//! comparator ([`tempstream_serve::offline::expected`]). With a single
+//! connection the check is **bit-exact**: the effective ingest order is
+//! reconstructed from the ack order (replies are FIFO per connection,
+//! so ack order *is* admission order), and incremental `QueryDelta`
+//! frames interleaved into the ingest must telescope to the absolute
+//! answers. With several connections it checks the order-independent
+//! answers (totals and top origins). Emits a JSON summary (client
+//! latency + the server's full metrics snapshot) on stdout and
+//! optionally to `--metrics-out`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -29,9 +27,7 @@ use std::time::{Duration, Instant};
 use tempstream_core::ExperimentConfig;
 use tempstream_obsv::{Histogram, Json, Registry};
 use tempstream_serve::offline;
-use tempstream_serve::wire::{
-    read_frame, read_message, write_frame, write_message, DeltaCounts, Frame, MessageReader,
-};
+use tempstream_serve::wire::{write_message, DeltaCounts, Frame, Message, MessageReader};
 use tempstream_serve::ShardConfig;
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::MissClass;
@@ -44,8 +40,8 @@ const USAGE: &str = "usage: serve-load --addr HOST:PORT [--workload NAME] [--see
 /// Encoded bytes per record on the wire (header excluded).
 const RECORD_BYTES: usize = tempstream_trace::io::RECORD_BYTES;
 
-/// Pipelined connections interleave one `QueryDelta` after this many
-/// ingest acks (verify mode), so delta cursors move mid-ingest. Each
+/// A verifying connection interleaves one `QueryDelta` after this many
+/// ingest acks, so delta cursors move mid-ingest. Each
 /// probe stalls the window until every shard worker reaches its cut
 /// marker and answers, so they are spaced widely — enough to exercise the cursor
 /// across several cuts without dominating the soak's throughput.
@@ -129,24 +125,58 @@ fn signed(x: u64) -> i64 {
     i64::try_from(x).expect("counter fits i64")
 }
 
-/// One request/reply exchange over protocol v1 (strictly half-duplex,
-/// so a blocking read per request is exact).
-fn call(stream: &mut TcpStream, request: &Frame) -> Result<Frame, String> {
-    write_frame(&mut *stream, request).map_err(|e| format!("send: {e}"))?;
-    read_frame(&mut *stream).map_err(|e| format!("recv: {e}"))
+/// The frame of `reply` if it answers request `seq`. A reply without a
+/// sequence id is one of the server's connection-level frames (a
+/// refused connection, the drain, a bad frame), reported as that error.
+fn answer_to(seq: u32, reply: Message) -> Result<Frame, String> {
+    match reply {
+        Message {
+            seq: Some(echoed),
+            frame,
+        } if echoed == seq => Ok(frame),
+        Message {
+            seq: Some(echoed), ..
+        } => Err(format!(
+            "seq echo mismatch: oldest in-flight is {seq}, reply carries {echoed}"
+        )),
+        Message {
+            seq: None,
+            frame: Frame::Error { code, message },
+        } => Err(format!("server error {code}: {message}")),
+        Message { seq: None, frame } => Err(format!("server refused the connection: {frame:?}")),
+    }
 }
 
-/// One request/reply exchange over protocol v2; checks the seq echo.
-fn call_v2(stream: &mut TcpStream, seq: u32, request: &Frame) -> Result<Frame, String> {
-    write_message(&mut *stream, Some(seq), request).map_err(|e| format!("send: {e}"))?;
-    let reply = read_message(&mut *stream).map_err(|e| format!("recv: {e}"))?;
-    if reply.seq != Some(seq) {
-        return Err(format!(
-            "seq echo mismatch: sent {seq}, reply carries {:?}",
-            reply.seq
-        ));
+/// The control connection: one request at a time over one sequence
+/// counter.
+struct Control {
+    stream: TcpStream,
+    reader: MessageReader,
+    next_seq: u32,
+}
+
+impl Control {
+    fn connect(addr: &str) -> Result<Control, String> {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        stream.set_nodelay(true).ok();
+        Ok(Control {
+            stream,
+            reader: MessageReader::new(),
+            next_seq: 1,
+        })
     }
-    Ok(reply.frame)
+
+    /// One request/reply exchange; checks the seq echo.
+    fn call(&mut self, request: &Frame) -> Result<Frame, String> {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        write_message(&mut self.stream, Some(seq), request).map_err(|e| format!("send: {e}"))?;
+        let reply = self
+            .reader
+            .next_from(&mut self.stream)
+            .map_err(|e| format!("recv: {e}"))?;
+        answer_to(seq, reply)
+    }
 }
 
 /// Accumulated `QueryDelta` replies: i64 sums telescope to the
@@ -207,48 +237,6 @@ struct ConnOutcome {
     deltas: Option<DeltaAcc>,
 }
 
-/// Replays `batches` on one half-duplex (v1) connection, retrying Busy
-/// with backoff.
-fn run_connection(
-    addr: &str,
-    batches: &[Vec<MissRecord<MissClass>>],
-    latency: &Histogram,
-) -> Result<ConnOutcome, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let mut retries = 0u64;
-    for batch in batches {
-        let frame = Frame::Ingest(batch.clone());
-        let mut backoff = Duration::from_millis(1);
-        loop {
-            let start = Instant::now();
-            match call(&mut stream, &frame)? {
-                Frame::IngestAck(n) if n as usize == batch.len() => {
-                    latency.record(start.elapsed().as_micros() as u64);
-                    break;
-                }
-                Frame::IngestAck(n) => {
-                    return Err(format!("short ack: {n} of {}", batch.len()));
-                }
-                Frame::Busy => {
-                    retries += 1;
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(100));
-                }
-                Frame::Error { code, message } => {
-                    return Err(format!("server error {code}: {message}"));
-                }
-                other => return Err(format!("unexpected ingest reply: {other:?}")),
-            }
-        }
-    }
-    Ok(ConnOutcome {
-        retries,
-        acked: (0..batches.len()).collect(),
-        deltas: None,
-    })
-}
-
 /// What a pipelined request slot is waiting for.
 enum InFlight {
     Ingest(usize),
@@ -306,11 +294,11 @@ impl BurstBackoff {
     }
 }
 
-/// Replays `batches` on one pipelined (v2) connection with up to
-/// `window` frames in flight. Replies are FIFO per connection, so each
-/// reply is matched against the oldest in-flight request and its seq
-/// echo is asserted. `Busy` batches are re-queued at the front in their
-/// original order (new sequence ids) after one pause per refused burst
+/// Replays `batches` on one connection with up to `window` frames in
+/// flight. Replies are FIFO per connection, so each reply is matched
+/// against the oldest in-flight request and its seq echo is asserted.
+/// `Busy` batches are re-queued at the front in their original order
+/// (new sequence ids) after one pause per refused burst
 /// ([`BurstBackoff`]). When `with_deltas` is set, a `QueryDelta` is
 /// interleaved every [`DELTA_EVERY`] acks plus once at the end, and
 /// the accumulated deltas are returned for verification.
@@ -323,8 +311,8 @@ fn run_connection_pipelined(
 ) -> Result<ConnOutcome, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_nodelay(true).ok();
-    // Pipelined replies coalesce into shared TCP segments; a persistent
-    // reader keeps the ones buffered past the message being returned.
+    // Replies coalesce into shared TCP segments; a persistent reader
+    // keeps the ones buffered past the message being returned.
     let mut reader = MessageReader::new();
     let mut pending: VecDeque<usize> = (0..batches.len()).collect();
     let mut in_flight: VecDeque<(u32, InFlight, Instant)> = VecDeque::new();
@@ -368,13 +356,7 @@ fn run_connection_pipelined(
         let reply = reader
             .next_from(&mut stream)
             .map_err(|e| format!("recv: {e}"))?;
-        if reply.seq != Some(seq) {
-            return Err(format!(
-                "seq echo mismatch: oldest in-flight is {seq}, reply carries {:?}",
-                reply.seq
-            ));
-        }
-        match (request, reply.frame) {
+        match (request, answer_to(seq, reply)?) {
             (InFlight::Ingest(idx), Frame::IngestAck(n)) => {
                 if n as usize != batches[idx].len() {
                     return Err(format!("short ack: {n} of {}", batches[idx].len()));
@@ -398,7 +380,7 @@ fn run_connection_pipelined(
             (_, Frame::Error { code, message }) => {
                 return Err(format!("server error {code}: {message}"));
             }
-            (_, other) => return Err(format!("unexpected pipelined reply: {other:?}")),
+            (_, other) => return Err(format!("unexpected reply: {other:?}")),
         }
     }
     if with_deltas {
@@ -410,13 +392,7 @@ fn run_connection_pipelined(
         let reply = reader
             .next_from(&mut stream)
             .map_err(|e| format!("recv: {e}"))?;
-        if reply.seq != Some(next_seq) {
-            return Err(format!(
-                "seq echo mismatch: sent {next_seq}, reply carries {:?}",
-                reply.seq
-            ));
-        }
-        match reply.frame {
+        match answer_to(next_seq, reply)? {
             Frame::DeltaReply(d) => deltas.absorb(&d),
             other => return Err(format!("unexpected delta reply: {other:?}")),
         }
@@ -432,15 +408,15 @@ fn mismatch(what: &str, got: impl std::fmt::Debug, want: impl std::fmt::Debug) -
     format!("verify mismatch: {what}: got {got:?}, want {want:?}")
 }
 
-/// Queries the server (v1 absolute queries) and checks against the
+/// Queries the server's absolute answers and checks them against the
 /// offline comparator.
 fn verify_absolute(
-    stream: &mut TcpStream,
+    control: &mut Control,
     want: &offline::Expected,
     top_n: u16,
     exact: bool,
 ) -> Result<(), String> {
-    let streams = match call(stream, &Frame::QueryStreamFraction)? {
+    let streams = match control.call(&Frame::QueryStreamFraction)? {
         Frame::StreamFractionReply {
             non_repetitive,
             new_stream,
@@ -454,7 +430,7 @@ fn verify_absolute(
         ),
         other => return Err(format!("unexpected streams reply: {other:?}")),
     };
-    let coverage = match call(stream, &Frame::QueryCoverage)? {
+    let coverage = match control.call(&Frame::QueryCoverage)? {
         Frame::CoverageReply {
             total,
             covered,
@@ -462,7 +438,7 @@ fn verify_absolute(
         } => (total, covered, issued),
         other => return Err(format!("unexpected coverage reply: {other:?}")),
     };
-    let top = match call(stream, &Frame::QueryTopOrigins(top_n))? {
+    let top = match control.call(&Frame::QueryTopOrigins(top_n))? {
         Frame::TopOriginsReply(rows) => rows,
         other => return Err(format!("unexpected top-origins reply: {other:?}")),
     };
@@ -504,17 +480,17 @@ fn verify_absolute(
     Ok(())
 }
 
-/// Exercises the delta protocol on a fresh control connection: the
-/// first `QueryDelta` is absolute (delta from the empty cursor), the
-/// second must be all-zero at the same watermark.
+/// Exercises the delta protocol on the control connection: its first
+/// `QueryDelta` is absolute (delta from the empty cursor), the second
+/// must be all-zero at the same watermark.
 fn verify_delta_control(
-    stream: &mut TcpStream,
+    control: &mut Control,
     want: &offline::Expected,
     top_n: u16,
     exact: bool,
     sent_records: u64,
 ) -> Result<(), String> {
-    let first = match call_v2(stream, 1, &Frame::QueryDelta)? {
+    let first = match control.call(&Frame::QueryDelta)? {
         Frame::DeltaReply(d) => d,
         other => return Err(format!("unexpected delta reply: {other:?}")),
     };
@@ -528,7 +504,7 @@ fn verify_delta_control(
     let mut acc = DeltaAcc::default();
     acc.absorb(&first);
     check_delta_acc(&acc, want, top_n, exact, sent_records)?;
-    let second = match call_v2(stream, 2, &Frame::QueryDelta)? {
+    let second = match control.call(&Frame::QueryDelta)? {
         Frame::DeltaReply(d) => d,
         other => return Err(format!("unexpected delta reply: {other:?}")),
     };
@@ -628,9 +604,9 @@ fn run() -> Result<(), String> {
         per_conn[i % args.connections].push(batch.clone());
     }
 
-    // Inline deltas ride the pipelined connection only when their
+    // Inline deltas ride the ingest connection only when their
     // accumulated answer is checkable (single connection, verifying).
-    let inline_deltas = args.verify && args.window > 1 && args.connections == 1;
+    let inline_deltas = args.verify && args.connections == 1;
 
     let registry = Registry::new();
     let latency = registry.histogram("load/ingest_latency_us");
@@ -643,11 +619,7 @@ fn run() -> Result<(), String> {
                 let addr = args.addr.as_str();
                 let window = args.window;
                 scope.spawn(move || {
-                    if window > 1 {
-                        run_connection_pipelined(addr, batches, window, inline_deltas, &latency)
-                    } else {
-                        run_connection(addr, batches, &latency)
-                    }
+                    run_connection_pipelined(addr, batches, window, inline_deltas, &latency)
                 })
             })
             .collect();
@@ -664,10 +636,10 @@ fn run() -> Result<(), String> {
         .map(|d| d.queries)
         .sum();
 
-    // Effective ingest order: with one pipelined connection, the ack
-    // order is the admission order (FIFO replies), so the comparator
-    // runs over the batches in exactly their admission order.
-    let effective: Vec<MissRecord<MissClass>> = if args.connections == 1 && args.window > 1 {
+    // Effective ingest order: with one connection, the ack order is the
+    // admission order (FIFO replies), so the comparator runs over the
+    // batches in exactly their admission order.
+    let effective: Vec<MissRecord<MissClass>> = if args.connections == 1 {
         outcomes[0]
             .acked
             .iter()
@@ -677,8 +649,7 @@ fn run() -> Result<(), String> {
         sent.clone()
     };
 
-    let mut control = TcpStream::connect(&args.addr).map_err(|e| format!("connect: {e}"))?;
-    control.set_nodelay(true).ok();
+    let mut control = Control::connect(&args.addr)?;
     let verify_mode = if args.verify {
         let exact = args.connections == 1;
         let want = offline::expected(
@@ -701,7 +672,7 @@ fn run() -> Result<(), String> {
         "skipped"
     };
 
-    let metrics = match call(&mut control, &Frame::QueryMetricsSnapshot)? {
+    let metrics = match control.call(&Frame::QueryMetricsSnapshot)? {
         Frame::MetricsReply(json) => {
             Json::parse(&json).map_err(|e| format!("bad metrics snapshot json: {e:?}"))?
         }
@@ -709,7 +680,7 @@ fn run() -> Result<(), String> {
     };
 
     if args.shutdown {
-        match call(&mut control, &Frame::Shutdown)? {
+        match control.call(&Frame::Shutdown)? {
             Frame::ShutdownAck => {}
             other => return Err(format!("unexpected shutdown reply: {other:?}")),
         }

@@ -6,10 +6,10 @@
 //! crate answers the same questions *while the trace happens*: clients
 //! stream miss records over a length-prefixed binary protocol
 //! ([`wire`]), each connection's reader shards them by block-address
-//! hash straight onto per-shard queues feeding workers that run
-//! **incremental** stream detection and the temporal prefetch engine
-//! ([`shard`]), and query frames are answered from per-shard state
-//! merged on demand ([`server`]).
+//! hash ([`shard`]) straight onto per-shard queues feeding workers that
+//! each own one `AnalysisEngine` running **incremental** stream
+//! detection and the temporal prefetch engine, and query frames are
+//! answered from per-shard state merged on demand ([`server`]).
 //!
 //! The headline property is **bit-identity with the offline batch
 //! stages**: because SEQUITUR is an online algorithm, a grammar
@@ -20,8 +20,9 @@
 //! approximately. The loopback tests and the `serve-load --verify`
 //! client enforce this.
 //!
-//! Connections are **pipelined**: protocol v2 tags each request with a
-//! sequence id echoed in its reply, a per-connection reader dispatches
+//! Connections are **pipelined**: every request carries a sequence id
+//! echoed in its reply (a client that waits for each reply is the same
+//! protocol at a window of one), a per-connection reader dispatches
 //! frames back-to-back while a writer drains a bounded reply queue in
 //! FIFO order, and `QueryDelta` answers carry only the counters that
 //! changed since the connection's last consistent cut (a per-shard

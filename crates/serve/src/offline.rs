@@ -2,8 +2,8 @@
 //!
 //! The [`Comparator`] partitions records with the *same* hash routing
 //! the server's connection readers use ([`shard_of`]), feeds one
-//! [`AnalysisEngine`] per partition (the same engine the server's
-//! shards wrap), and merges with the *same* `merge_*` functions the
+//! [`AnalysisEngine`] per partition (the same engine each server shard
+//! runs), and merges with the *same* `merge_*` functions the
 //! server's query path calls. Any ingest-order preserving server must
 //! therefore answer queries bit-identically — the loopback tests and
 //! `serve-load --verify` assert exactly that. The engine itself is
@@ -24,8 +24,9 @@
 
 use crate::shard::{
     merge_coverage_counts, merge_stream_counts, merge_top_origins, shard_of, CoverageCounts,
-    ShardConfig, ShardState, StreamCounts,
+    ShardConfig, StreamCounts,
 };
+use tempstream_core::engine::AnalysisEngine;
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::MissClass;
 
@@ -45,7 +46,7 @@ pub struct Expected {
 #[derive(Debug)]
 pub struct Comparator {
     shards: usize,
-    states: Vec<ShardState>,
+    engines: Vec<AnalysisEngine>,
     pushed: u64,
 }
 
@@ -56,7 +57,7 @@ impl Comparator {
         let shards = shards.max(1);
         Comparator {
             shards,
-            states: (0..shards).map(|_| ShardState::new(config)).collect(),
+            engines: (0..shards).map(|_| AnalysisEngine::new(config)).collect(),
             pushed: 0,
         }
     }
@@ -66,7 +67,7 @@ impl Comparator {
     /// never re-push history.
     pub fn push(&mut self, records: &[MissRecord<MissClass>]) {
         for r in records {
-            self.states[shard_of(r.block.raw(), self.shards)].apply(r);
+            self.engines[shard_of(r.block.raw(), self.shards)].push_record(r);
             self.pushed += 1;
         }
     }
@@ -81,10 +82,12 @@ impl Comparator {
     /// What the mirrored server must answer right now.
     pub fn expected(&mut self, top_n: usize) -> Expected {
         Expected {
-            streams: merge_stream_counts(self.states.iter_mut().map(ShardState::stream_counts)),
-            coverage: merge_coverage_counts(self.states.iter().map(ShardState::coverage_counts)),
+            streams: merge_stream_counts(
+                self.engines.iter_mut().map(AnalysisEngine::stream_counts),
+            ),
+            coverage: merge_coverage_counts(self.engines.iter().map(AnalysisEngine::coverage)),
             top_origins: merge_top_origins(
-                self.states.iter().map(ShardState::origin_counts),
+                self.engines.iter().map(AnalysisEngine::origin_table),
                 top_n,
             ),
         }
@@ -95,7 +98,7 @@ impl Comparator {
     /// `serve/analysis/grammar_walks` gauge; tests use it to prove the
     /// suite no longer rebuilds grammars from scratch per phase.
     pub fn grammar_walks(&self) -> u64 {
-        self.states.iter().map(ShardState::grammar_walks).sum()
+        self.engines.iter().map(AnalysisEngine::grammar_walks).sum()
     }
 }
 
@@ -138,15 +141,15 @@ mod tests {
         let records = seeded_records(600);
         let config = ShardConfig::default();
         for shards in [1usize, 2, 4] {
-            let mut states: Vec<ShardState> =
-                (0..shards).map(|_| ShardState::new(config)).collect();
+            let mut engines: Vec<AnalysisEngine> =
+                (0..shards).map(|_| AnalysisEngine::new(config)).collect();
             for r in &records {
-                states[shard_of(r.block.raw(), shards)].apply(r);
+                engines[shard_of(r.block.raw(), shards)].push_record(r);
             }
             let online_streams =
-                merge_stream_counts(states.iter_mut().map(ShardState::stream_counts));
-            let online_cov = merge_coverage_counts(states.iter().map(ShardState::coverage_counts));
-            let online_top = merge_top_origins(states.iter().map(ShardState::origin_counts), 8);
+                merge_stream_counts(engines.iter_mut().map(AnalysisEngine::stream_counts));
+            let online_cov = merge_coverage_counts(engines.iter().map(AnalysisEngine::coverage));
+            let online_top = merge_top_origins(engines.iter().map(AnalysisEngine::origin_table), 8);
 
             let want = expected(&records, shards, config, 8);
             assert_eq!(online_streams, want.streams, "shards={shards}");

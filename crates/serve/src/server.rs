@@ -19,16 +19,21 @@
 //!                                   admission point, one lane per shard)
 //!                                        │ shard workers apply incrementally
 //!                                        ▼
-//!                                   per-shard ShardState (owned by its worker)
+//!                                   per-shard AnalysisEngine (owned by its worker)
 //! ```
 //!
-//! Pipelining: protocol-v2 clients tag requests with a sequence id and
+//! Pipelining: every request carries a sequence id, and clients may
 //! send many frames back-to-back; the reader dispatches each as soon
 //! as it decodes, pushing the reply (with the echoed sequence id) onto
 //! the connection's bounded [`ReplyQueue`]. The writer drains it in
 //! FIFO order, so replies leave in dispatch order — the invariant that
 //! lets the client match replies to requests. A full reply queue
 //! blocks only that connection's reader (per-connection backpressure).
+//! A request without a sequence id is answered `Error{ERR_BAD_FRAME}`
+//! and the connection closes, as on undecodable bytes. The reader
+//! records the most requests it decoded from one `read` in the
+//! `serve/conn/max_frames_per_read` gauge: exactly 1 when every client
+//! waits for each reply before sending the next request.
 //!
 //! Ingest routing happens **in the readers**: each connection splits a
 //! decoded batch by [`shard_of`] into a per-connection scratch buffer
@@ -48,7 +53,7 @@
 //! under the same admission lock as ingest. Each lane therefore holds,
 //! ahead of the marker, exactly the sub-batches of the frames admitted
 //! before it — including every frame this connection had acked. Each
-//! shard worker owns its [`ShardState`] outright (no lock); when it
+//! shard worker owns its [`AnalysisEngine`] outright (no lock); when it
 //! pops the marker it computes its part of the answer at exactly that
 //! point, in parallel with the other shards, and the last shard to
 //! answer wakes the reader, which only merges the parts. No lock is
@@ -66,8 +71,8 @@
 //! per-shard state versions plus the merged answers of its last cut.
 //! `QueryDelta` takes a consistent cut and folds in **only** the
 //! shards whose version moved, replying with the change since the
-//! cursor; per-shard `StreamCounts` are version-memoized inside
-//! [`ShardState`], so a shard that did not move never walks its
+//! cursor; per-shard `StreamCounts` are version-memoized inside the
+//! engine, so a shard that did not move never walks its
 //! grammar. The cursor also caches a merged origin table patched per
 //! changed shard — a shard sends a copy of its origin table only when
 //! its version moved past the cursor's — so delta probes and
@@ -98,14 +103,15 @@ use std::time::{Duration, Instant};
 use crate::queue::{Cut, LaneItem, PushError, ReplyQueue, ShardQueues};
 use crate::shard::{
     merge_coverage_counts, merge_stream_counts, shard_of, CoverageCounts, OriginTable, ShardConfig,
-    ShardState, StreamCounts,
+    StreamCounts,
 };
 use crate::wire::{
-    encode_message, write_frame, DeltaCounts, Frame, Message, MessageAssembler, ERR_BAD_FRAME,
-    ERR_DRAINING, ERR_OVERSIZED, ERR_SHARD_FAILED,
+    encode_message, write_message, DeltaCounts, Frame, Message, MessageAssembler, ERR_BAD_FRAME,
+    ERR_DRAINING, ERR_SHARD_FAILED,
 };
+use tempstream_core::engine::AnalysisEngine;
 use tempstream_fxhash::FxHashMap;
-use tempstream_obsv::{Counter, Histogram, Registry};
+use tempstream_obsv::{Counter, Gauge, Histogram, Registry};
 use tempstream_runtime::pool;
 use tempstream_runtime::sync::{Arc, Condvar, Mutex};
 use tempstream_trace::miss::MissRecord;
@@ -179,8 +185,9 @@ struct Conns {
 /// Every dispatched request frame counts once in `frames_received` and
 /// once in exactly one outcome, so once no frame is mid-dispatch
 /// `received == acked + busy + errors + queries + shutdown` (the soak
-/// gates assert it). Frames that fail to decode never reach dispatch
-/// and count in `frames_decode_errors` alone.
+/// gates assert it). Frames that fail to decode, and requests without
+/// a sequence id, never reach dispatch and count in
+/// `frames_decode_errors` alone.
 struct Metrics {
     frames_received: Counter,
     /// Ingest frames admitted whole and answered `IngestAck`.
@@ -193,11 +200,10 @@ struct Metrics {
     frames_errors: Counter,
     /// `Shutdown` frames.
     frames_shutdown: Counter,
-    /// Byte streams that failed to decode into a frame.
+    /// Byte streams that failed to decode into a request.
     frames_decode_errors: Counter,
-    /// v1 replies too large for one frame, sent as `Error{ERR_OVERSIZED}`
-    /// (the request already counted as a query).
-    replies_oversized: Counter,
+    /// The most requests one connection reader decoded from one `read`.
+    max_frames_per_read: Gauge,
     records_ingested: Counter,
     records_applied: Counter,
     records_rejected: Counter,
@@ -221,7 +227,7 @@ impl Metrics {
             frames_errors: registry.counter("serve/frames/errors"),
             frames_shutdown: registry.counter("serve/frames/shutdown"),
             frames_decode_errors: registry.counter("serve/frames/decode_errors"),
-            replies_oversized: registry.counter("serve/replies/oversized"),
+            max_frames_per_read: registry.gauge("serve/conn/max_frames_per_read"),
             records_ingested: registry.counter("serve/records/ingested"),
             records_applied: registry.counter("serve/records/applied"),
             records_rejected: registry.counter("serve/records/rejected"),
@@ -315,7 +321,7 @@ impl DeltaCursor {
                 }
             }
             self.shard_origins[i] = now;
-            self.origin_versions[i] = part.version;
+            self.origin_versions[i] = part.ingested;
         }
     }
 
@@ -330,7 +336,7 @@ impl DeltaCursor {
             if let Some(streams) = part.streams {
                 self.shard_streams[i] = streams;
                 self.shard_coverage[i] = part.coverage;
-                self.shard_versions[i] = part.version;
+                self.shard_versions[i] = part.ingested;
                 changed = true;
             }
         }
@@ -410,14 +416,15 @@ struct QueryCut {
 /// One shard's part of a query, computed by its worker exactly at the
 /// cut.
 struct ShardPart {
-    version: u64,
+    /// Records applied to the shard, which is also its state version:
+    /// it advances exactly when observable state changes.
+    ingested: u64,
     /// Present when the request's `streams` names this shard.
     streams: Option<StreamCounts>,
     coverage: CoverageCounts,
     /// A copy of the origin table, when the request's `origins` names
     /// this shard.
     origins: Option<OriginTable>,
-    ingested: u64,
     overflow: u64,
     grammar_walks: u64,
     /// From the marker push until this part was ready.
@@ -425,26 +432,25 @@ struct ShardPart {
 }
 
 impl ShardPart {
-    /// `state`'s part of `cut`, where `state` is shard `index`.
-    fn of(state: &mut ShardState, index: usize, cut: &QueryCut) -> ShardPart {
-        let version = state.version();
+    /// `engine`'s part of `cut`, where `engine` is shard `index`.
+    fn of(engine: &mut AnalysisEngine, index: usize, cut: &QueryCut) -> ShardPart {
+        let ingested = engine.ingested();
         let request = &cut.request;
         let streams = request
             .streams
-            .of(index, version)
-            .then(|| state.stream_counts());
+            .of(index, ingested)
+            .then(|| engine.stream_counts());
         let origins = request
             .origins
-            .of(index, version)
-            .then(|| state.origin_counts().clone());
+            .of(index, ingested)
+            .then(|| engine.origin_table().clone());
         ShardPart {
-            version,
+            ingested,
             streams,
-            coverage: state.coverage_counts(),
+            coverage: engine.coverage(),
             origins,
-            ingested: state.ingested(),
-            overflow: state.overflow(),
-            grammar_walks: state.grammar_walks(),
+            overflow: engine.overflow(),
+            grammar_walks: engine.grammar_walks(),
             answer: cut.pushed.elapsed(),
         }
     }
@@ -737,7 +743,8 @@ impl Shared {
 }
 
 /// The reply stream between one connection's reader and writer: the
-/// echoed sequence id (None for v1 requests) plus the reply frame.
+/// echoed sequence id (`None` only on a connection-level error) plus the
+/// reply frame.
 type ConnReplies = ReplyQueue<(Option<u32>, Frame)>;
 
 /// Frees one connection slot on drop — a drop guard, so a panicking
@@ -764,7 +771,7 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// One connection's reader: assemble messages (reassembling v2
+/// One connection's reader: assemble messages (reassembling
 /// continuation frames), dispatch each request as soon as it decodes —
 /// routing ingest frames onto the shard lanes itself — queue the
 /// reply, poll the drain flag. Never writes the socket.
@@ -783,37 +790,33 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
         .collect();
     let mut chunk = [0u8; 16 * 1024];
     loop {
+        let mut decoded = 0u64;
         loop {
-            match asm.next_message() {
-                Ok(Some(Message { seq, frame })) => {
-                    if fault_panic {
-                        panic!("injected connection-handler fault (test hook)");
-                    }
-                    let (reply, keep_going) =
-                        shared.handle_request(frame, &mut cursor, &mut scratch);
-                    if replies.push((seq, reply)).is_err() {
-                        return; // writer is gone; replies undeliverable
-                    }
-                    if !keep_going {
-                        return;
-                    }
-                }
+            let (seq, frame) = match asm.next_message() {
+                Ok(Some(Message {
+                    seq: Some(seq),
+                    frame,
+                })) => (seq, frame),
                 Ok(None) => break,
-                Err(e) => {
-                    // Decode failure: the stream offset can no longer
-                    // be trusted. Report and tear down.
-                    shared.metrics.frames_decode_errors.inc();
-                    let _ = replies.push((
-                        None,
-                        Frame::Error {
-                            code: ERR_BAD_FRAME,
-                            message: e.to_string(),
-                        },
-                    ));
-                    return;
+                Ok(Some(Message { seq: None, .. })) => {
+                    return refuse(shared, replies, "request carries no sequence id".into());
                 }
+                // The stream offset can no longer be trusted.
+                Err(e) => return refuse(shared, replies, e.to_string()),
+            };
+            if fault_panic {
+                panic!("injected connection-handler fault (test hook)");
+            }
+            decoded += 1;
+            let (reply, keep_going) = shared.handle_request(frame, &mut cursor, &mut scratch);
+            if replies.push((Some(seq), reply)).is_err() {
+                return; // writer is gone; replies undeliverable
+            }
+            if !keep_going {
+                return;
             }
         }
+        shared.metrics.max_frames_per_read.set_max(decoded);
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => asm.push_bytes(&chunk[..n]),
@@ -836,27 +839,29 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
     }
 }
 
+/// Answers bytes that are not a request — undecodable, or a frame
+/// without a sequence id — with `Error{ERR_BAD_FRAME}`, after which the
+/// reader closes the connection.
+fn refuse(shared: &Shared, replies: &ConnReplies, message: String) {
+    shared.metrics.frames_decode_errors.inc();
+    let _ = replies.push((
+        None,
+        Frame::Error {
+            code: ERR_BAD_FRAME,
+            message,
+        },
+    ));
+}
+
 /// One connection's writer: drains the reply queue in FIFO order onto
-/// the socket. A v1 reply too large for a single frame (registry JSON
-/// past the cap) is substituted with `Error{ERR_OVERSIZED}` — the
-/// connection survives; v2 replies split into continuation frames in
-/// `encode_message` instead.
-fn run_conn_writer(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies) {
+/// the socket. Replies larger than one frame split into continuation
+/// frames in `encode_message`; one that cannot be encoded at all (over
+/// the reassembly cap) closes the connection.
+fn run_conn_writer(mut stream: TcpStream, replies: &ConnReplies) {
     let mut buf = Vec::with_capacity(256);
     while let Some((seq, frame)) = replies.pop() {
         buf.clear();
-        if encode_message(seq, &frame, &mut buf).is_err() {
-            shared.metrics.replies_oversized.inc();
-            let oversized = Frame::Error {
-                code: ERR_OVERSIZED,
-                message: "reply exceeds the v1 frame cap; retry over protocol v2".to_string(),
-            };
-            buf.clear();
-            if encode_message(seq, &oversized, &mut buf).is_err() {
-                break;
-            }
-        }
-        if stream.write_all(&buf).is_err() {
+        if encode_message(seq, &frame, &mut buf).is_err() || stream.write_all(&buf).is_err() {
             break;
         }
     }
@@ -871,8 +876,9 @@ fn run_conn_writer(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies
 fn reject_drain_backlog(listener: &TcpListener, first: TcpStream, shared: &Shared) {
     let reject = |mut s: TcpStream| {
         shared.metrics.conn_rejected.inc();
-        let _ = write_frame(
+        let _ = write_message(
             &mut s,
+            None,
             &Frame::Error {
                 code: ERR_DRAINING,
                 message: "server is draining".to_string(),
@@ -887,7 +893,7 @@ fn reject_drain_backlog(listener: &TcpListener, first: TcpStream, shared: &Share
     }
 }
 
-/// Shard worker: owns shard `index`'s state, applies routed
+/// Shard worker: owns shard `index`'s engine, applies routed
 /// sub-batches from its lane (recycling emptied buffers) and answers
 /// each cut marker with its part at exactly that point of the lane.
 /// `fault_panic` is the [`ServerConfig::fault_shard_panics`] hook.
@@ -897,7 +903,7 @@ fn run_shard(shared: &Shared, index: usize, config: ShardConfig, fault_panic: bo
         index,
         answering: None,
     };
-    let mut state = ShardState::new(config);
+    let mut engine = AnalysisEngine::new(config);
     while let Some(item) = shared.shard_queues.pop(index) {
         if let LaneItem::Marker(cut) = &item {
             exit.answering = Some(Arc::clone(cut));
@@ -907,14 +913,12 @@ fn run_shard(shared: &Shared, index: usize, config: ShardConfig, fault_panic: bo
         }
         match item {
             LaneItem::Batch(batch) => {
-                for r in &batch {
-                    state.apply(r);
-                }
+                engine.push_records(&batch);
                 shared.metrics.records_applied.add(batch.len() as u64);
                 shared.shard_queues.recycle(batch);
             }
             LaneItem::Marker(cut) => {
-                let part = ShardPart::of(&mut state, index, &cut);
+                let part = ShardPart::of(&mut engine, index, &cut);
                 exit.answering = None;
                 cut.parts.answer(index, part);
             }
@@ -1091,7 +1095,7 @@ impl Server {
                     };
                     let replies = Arc::new(ConnReplies::new(config.reply_queue_capacity));
                     let writer_q = Arc::clone(&replies);
-                    p.spawn(move |_| run_conn_writer(shared, write_half, &writer_q));
+                    p.spawn(move |_| run_conn_writer(write_half, &writer_q));
                     p.spawn(move |_| {
                         let _slot = ConnSlot { shared };
                         let _close = CloseOnDrop { queue: &replies };
@@ -1100,7 +1104,7 @@ impl Server {
                 } else {
                     shared.metrics.conn_rejected.inc();
                     let mut stream = stream;
-                    let _ = write_frame(&mut stream, &Frame::Busy);
+                    let _ = write_message(&mut stream, None, &Frame::Busy);
                 }
             }
         });

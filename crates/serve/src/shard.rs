@@ -1,38 +1,35 @@
-//! Per-shard analysis state and the merge of per-shard answers.
+//! Shard routing and the merge of per-shard answers.
 //!
-//! Each shard is a thin wrapper around the unified incremental
-//! [`AnalysisEngine`] (`tempstream_core::engine`): the engine owns the
-//! live SEQUITUR builder, the [`OnlineEvaluator`] driving the temporal
-//! prefetch engine, the per-function [`OriginTable`], and the
-//! version-memoized stream-counts snapshot; the shard layer adds only
-//! what is server-specific — lane routing. Records are routed to
-//! shards by [`shard_of`] — a seedless Fx hash of the block address, so
-//! the same trace always shards the same way in any process, which is
-//! what makes the offline comparator ([`crate::offline`]) bit-exact.
+//! Each shard is one [`AnalysisEngine`] (`tempstream_core::engine`) in
+//! its full configuration ([`ShardConfig`]), owned by its shard worker:
+//! the engine holds the live SEQUITUR builder, the [`OnlineEvaluator`]
+//! driving the temporal prefetch engine, the per-function
+//! [`OriginTable`], and the version-memoized stream-counts snapshot.
+//! This module adds only what is server-specific — routing. Records are
+//! routed to shards by [`shard_of`] — a seedless Fx hash of the block
+//! address, so the same trace always shards the same way in any
+//! process, which is what makes the offline comparator
+//! ([`crate::offline`]) bit-exact.
 //!
 //! Each shard's worker computes its part of a query at the query's cut
 //! marker, and the reader merges the parts across shards with the
 //! engine's `merge_*` functions (re-exported below); the offline
-//! comparator reuses the same engine *and* the same merge functions, so
+//! comparator runs the same engine *and* the same merge functions, so
 //! online and offline answers can only differ if the transport layer
 //! reorders or drops records — which is exactly what the loopback tests
 //! exist to rule out. The engine's incremental-vs-batch bit-identity is
 //! pinned upstream by `crates/core/tests/engine_differential.rs` and
 //! the `engine-diff` CI gate.
 //!
-//! Two hot-path properties carry over from the engine: origin counts
-//! live in a dense+spill [`OriginTable`] (no hashmap probe per record
-//! for real id ranges), and each shard's [`StreamCounts`] — the one
-//! answer that requires a full grammar root walk — is cached keyed by
-//! the shard's [`version()`] so a shard that has not ingested since the
-//! last query answers O(1).
+//! Two hot-path properties come with the engine: origin counts live in
+//! a dense+spill [`OriginTable`] (no hashmap probe per record for real
+//! id ranges), and each shard's [`StreamCounts`] — the one answer that
+//! requires a full grammar root walk — is cached keyed by the engine's
+//! version (records ingested), so a shard that has not ingested since
+//! the last query answers O(1).
 //!
-//! [`version()`]: ShardState::version
+//! [`AnalysisEngine`]: tempstream_core::engine::AnalysisEngine
 //! [`OnlineEvaluator`]: tempstream_prefetch::OnlineEvaluator
-
-use tempstream_core::engine::AnalysisEngine;
-use tempstream_trace::miss::MissRecord;
-use tempstream_trace::MissClass;
 
 pub use tempstream_core::engine::{
     merge_coverage_counts, merge_stream_counts, merge_top_origins, CoverageCounts,
@@ -53,83 +50,12 @@ pub fn shard_of(block: u64, shards: usize) -> usize {
     (tempstream_fxhash::hash_word(block) % shards as u64) as usize
 }
 
-/// One shard's live analysis state: an [`AnalysisEngine`] in its full
-/// (prefetch-evaluating) configuration.
-#[derive(Debug)]
-pub struct ShardState {
-    engine: AnalysisEngine<MissClass>,
-}
-
-impl ShardState {
-    /// Creates an empty shard.
-    pub fn new(config: ShardConfig) -> Self {
-        ShardState {
-            engine: AnalysisEngine::new(config),
-        }
-    }
-
-    /// Ingests one record: feeds the prefetch evaluation and origin
-    /// counts always, and the SEQUITUR builder until the retention cap.
-    #[inline]
-    pub fn apply(&mut self, record: &MissRecord<MissClass>) {
-        self.engine.push_record(record);
-    }
-
-    /// Records ever routed to this shard.
-    pub fn ingested(&self) -> u64 {
-        self.engine.ingested()
-    }
-
-    /// Monotone state version: advances exactly when observable state
-    /// changes (once per applied record), so per-connection delta
-    /// cursors and the per-shard [`StreamCounts`] cache can skip the
-    /// expensive grammar walk for shards that have not moved since
-    /// their last consistent cut.
-    pub fn version(&self) -> u64 {
-        self.engine.version()
-    }
-
-    /// Records past the retention cap.
-    pub fn overflow(&self) -> u64 {
-        self.engine.overflow()
-    }
-
-    /// Stream counts from the counts-only walk of the live builder —
-    /// bit-identical to batch-analyzing this shard's retained records.
-    ///
-    /// Memoized on [`version()`](ShardState::version) by the engine:
-    /// the root walk only runs when the shard has ingested since the
-    /// previous call, so repeated queries against a quiet shard are
-    /// O(1). The cache can never serve a stale answer because
-    /// `version()` advances on every applied record and only the
-    /// shard's own worker applies records and reads the cache.
-    pub fn stream_counts(&mut self) -> StreamCounts {
-        self.engine.stream_counts()
-    }
-
-    /// Grammar root walks performed so far — i.e. `stream_counts` cache
-    /// misses. Tests use this to prove version-keyed caching: querying
-    /// a quiet shard must not move it.
-    pub fn grammar_walks(&self) -> u64 {
-        self.engine.grammar_walks()
-    }
-
-    /// Prefetch coverage counters accumulated so far.
-    pub fn coverage_counts(&self) -> CoverageCounts {
-        self.engine.coverage()
-    }
-
-    /// Per-function miss counts (shared reference; merge with
-    /// [`merge_top_origins`]).
-    pub fn origin_counts(&self) -> &OriginTable {
-        self.engine.origin_table()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempstream_trace::{Block, CpuId, FunctionId, ThreadId};
+    use tempstream_core::engine::AnalysisEngine;
+    use tempstream_trace::miss::MissRecord;
+    use tempstream_trace::{Block, CpuId, FunctionId, MissClass, ThreadId};
 
     fn record(block: u64, cpu: u32, function: u32) -> MissRecord<MissClass> {
         MissRecord {
@@ -167,9 +93,9 @@ mod tests {
             .map(|(i, &b)| record(b, (i % 2) as u32, (b % 3) as u32))
             .collect();
         let cfg = ShardConfig::default();
-        let mut shard = ShardState::new(cfg);
+        let mut shard = AnalysisEngine::new(cfg);
         for r in &records {
-            shard.apply(r);
+            shard.push_record(r);
         }
         let partial = tempstream_core::stages::analyze_streams(&records, 2);
         let online = shard.stream_counts();
@@ -189,7 +115,7 @@ mod tests {
                 .with_log_capacity(cfg.log_capacity);
         let batch =
             tempstream_prefetch::evaluate(&mut batch_prefetcher, &records, cfg.buffer_capacity);
-        let cov = shard.coverage_counts();
+        let cov = shard.coverage();
         assert_eq!(
             (cov.total, cov.covered, cov.issued),
             (batch.total, batch.covered, batch.issued)
@@ -202,38 +128,38 @@ mod tests {
             max_retained: 4,
             ..ShardConfig::default()
         };
-        let mut shard = ShardState::new(cfg);
+        let mut shard = AnalysisEngine::new(cfg);
         for i in 0..10u64 {
-            shard.apply(&record(i % 3, 0, 0));
+            shard.push_record(&record(i % 3, 0, 0));
         }
         assert_eq!(shard.ingested(), 10);
         assert_eq!(shard.overflow(), 6);
         assert_eq!(shard.stream_counts().total(), 4, "grammar capped");
-        assert_eq!(shard.coverage_counts().total, 10, "coverage uncapped");
+        assert_eq!(shard.coverage().total, 10, "coverage uncapped");
     }
 
     #[test]
     fn stream_counts_cache_is_version_keyed() {
-        let mut shard = ShardState::new(ShardConfig::default());
+        let mut shard = AnalysisEngine::new(ShardConfig::default());
         for i in 0..8u64 {
-            shard.apply(&record(i % 3, 0, 0));
+            shard.push_record(&record(i % 3, 0, 0));
         }
         assert_eq!(shard.grammar_walks(), 0, "no walk before first query");
         let first = shard.stream_counts();
         assert_eq!(shard.grammar_walks(), 1);
         assert_eq!(shard.stream_counts(), first, "cache hit answers equally");
         assert_eq!(shard.grammar_walks(), 1, "quiet shard must not re-walk");
-        shard.apply(&record(1, 0, 0));
+        shard.push_record(&record(1, 0, 0));
         let second = shard.stream_counts();
         assert_eq!(shard.grammar_walks(), 2, "new version forces a walk");
         assert_eq!(second.total(), first.total() + 1);
         // The cached answer equals a from-scratch walk of the same
         // state: a fresh shard fed the same records must agree.
-        let mut fresh = ShardState::new(ShardConfig::default());
+        let mut fresh = AnalysisEngine::new(ShardConfig::default());
         for i in 0..8u64 {
-            fresh.apply(&record(i % 3, 0, 0));
+            fresh.push_record(&record(i % 3, 0, 0));
         }
-        fresh.apply(&record(1, 0, 0));
+        fresh.push_record(&record(1, 0, 0));
         assert_eq!(fresh.stream_counts(), second);
     }
 }

@@ -4,21 +4,29 @@
 //!
 //! ```text
 //! len      u32 LE      length of everything after this field
-//! version  u8          1 or 2
+//! version  u8          2 (request/reply) or 1 (connection-level, no seq)
 //! type     u8          frame discriminant (see Frame)
-//! seq      u32 LE      v2 only: request sequence id, echoed in replies
+//! seq      u32 LE      version 2 only: request sequence id, echoed in replies
 //! payload  …           type-specific
 //! crc      u32 LE      CRC-32/IEEE over version + type [+ seq] + payload
 //! ```
 //!
-//! Protocol **v1** is strictly half-duplex request/reply. Protocol
-//! **v2** adds a `u32` sequence id after the type byte: clients may
-//! pipeline many requests back-to-back and match replies by their
-//! echoed sequence id, and replies whose payload exceeds
-//! [`MAX_FRAME_BYTES`] are split across [`Frame::Partial`] continuation
-//! frames (same sequence id, reassembled by [`MessageAssembler`])
-//! instead of failing to encode. v2 also carries the incremental query
-//! frames [`Frame::QueryDelta`] / [`Frame::DeltaReply`].
+//! There is one request format: every request carries a `u32` sequence
+//! id, and its reply echoes it. Clients may pipeline many requests
+//! back-to-back and match replies by the echoed id; a client that waits
+//! for each reply is the same protocol at a window of one. Replies
+//! whose payload exceeds [`MAX_FRAME_BYTES`] are split across
+//! [`Frame::Partial`] continuation frames (same sequence id,
+//! reassembled by [`MessageAssembler`]) instead of failing to encode.
+//! The incremental query frames are [`Frame::QueryDelta`] /
+//! [`Frame::DeltaReply`].
+//!
+//! The envelope without a sequence id (version byte 1) encodes only the
+//! server's three frames that answer no request: the accept-time
+//! [`Frame::Busy`], `Error{ERR_DRAINING}` to a client that connects
+//! during the drain, and `Error{ERR_BAD_FRAME}` on undecodable bytes. It
+//! decodes as [`Message::seq`] `== None`; the server refuses a request
+//! in it like undecodable bytes.
 //!
 //! Ingest payloads carry runs of records in the *same* 21-byte encoding
 //! as the `trace::io` binary trace format
@@ -29,20 +37,21 @@
 //! malformed, truncated, oversized, or checksum-corrupted frame never
 //! panics the decoder — it surfaces as a [`WireError`], which the
 //! server answers with an [`Frame::Error`] reply before closing the
-//! connection. On the encode side, a v1 frame whose payload cannot fit
-//! [`MAX_FRAME_BYTES`] surfaces as [`WireError::Oversized`] rather
-//! than panicking.
+//! connection. On the encode side, a payload that cannot fit the
+//! protocol bounds surfaces as [`WireError::Oversized`] rather than
+//! panicking.
 
 use std::io::{Read, Write};
 use tempstream_trace::io::{decode_record, encode_record, ReadTraceError, RECORD_BYTES};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::MissClass;
 
-/// Protocol version byte of the original half-duplex protocol.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version byte of the envelope without a sequence id (the server's
+/// connection-level frames).
+const VERSION_NO_SEQ: u8 = 1;
 
-/// Protocol version byte of the pipelined, sequence-tagged protocol.
-pub const PROTOCOL_V2: u8 = 2;
+/// Version byte of the sequence-tagged request/reply envelope.
+const VERSION_SEQ: u8 = 2;
 
 /// Hard cap on `len`: bounds the allocation a hostile or corrupt
 /// length prefix can drive (1 MiB).
@@ -56,26 +65,26 @@ pub const MAX_REASSEMBLED_BYTES: usize = 16 << 20;
 /// Maximum records per ingest frame.
 pub const MAX_BATCH_RECORDS: usize = 32_768;
 
-/// Frame overhead after the length prefix: version + type + crc.
+/// Frame overhead after the length prefix without a sequence id:
+/// version + type + crc (the shortest valid frame).
 const ENVELOPE_BYTES: usize = 1 + 1 + 4;
 
-/// v2 frame overhead after the length prefix: version + type + seq + crc.
-const ENVELOPE_V2_BYTES: usize = 1 + 1 + 4 + 4;
+/// Frame overhead after the length prefix with a sequence id: version +
+/// type + seq + crc.
+const ENVELOPE_SEQ_BYTES: usize = 1 + 1 + 4 + 4;
 
 /// Error code carried by [`Frame::Error`]: the peer sent a frame that
-/// failed to decode.
+/// failed to decode, or a request without a sequence id.
 pub const ERR_BAD_FRAME: u16 = 1;
 /// Error code: the server is draining and rejects new ingest.
 pub const ERR_DRAINING: u16 = 2;
-/// Error code: the reply is too large for a single v1 frame (retry
-/// over protocol v2, which splits oversized replies into continuation
-/// frames).
-pub const ERR_OVERSIZED: u16 = 3;
+// Code 3 is retired (it answered replies too large for the protocol
+// without sequence ids) and is not reused.
 /// Error code: a shard worker failed, so the server can no longer
 /// answer queries or apply ingest routed to that shard.
 pub const ERR_SHARD_FAILED: u16 = 4;
 
-/// Counter changes since a connection's last delta cut (protocol v2).
+/// Counter changes since a connection's last delta cut.
 ///
 /// A [`Frame::DeltaReply`] carries, for every query the server answers,
 /// only the *change* since the same connection's previous
@@ -135,7 +144,7 @@ pub enum Frame {
     /// Ask for the full obsv registry snapshot (client→server).
     QueryMetricsSnapshot,
     /// Ask for the counters changed since this connection's last delta
-    /// cut (client→server, protocol v2).
+    /// cut (client→server).
     QueryDelta,
     /// Begin drain-then-shutdown (client→server).
     Shutdown,
@@ -169,10 +178,10 @@ pub enum Frame {
     /// Full obsv registry snapshot as JSON text (server→client).
     MetricsReply(String),
     /// Counters changed since the connection's last delta cut
-    /// (server→client, protocol v2).
+    /// (server→client).
     DeltaReply(DeltaCounts),
     /// One continuation segment of a reply too large for a single
-    /// frame (protocol v2). Segments share the originating request's
+    /// frame. Segments share the originating request's
     /// sequence id and are reassembled by [`MessageAssembler`]; the
     /// concatenated chunks decode as the payload of `inner_type`.
     Partial {
@@ -195,11 +204,12 @@ pub enum Frame {
     },
 }
 
-/// One decoded protocol message: the frame plus its v2 sequence id
-/// (`None` for v1 frames).
+/// One decoded protocol message: the frame plus its sequence id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    /// v2 sequence id, echoed verbatim in the reply; `None` for v1.
+    /// The request's sequence id, echoed verbatim in its reply; `None`
+    /// only on the server's connection-level frames (see the module
+    /// doc).
     pub seq: Option<u32>,
     /// The frame itself.
     pub frame: Frame,
@@ -226,9 +236,9 @@ pub enum WireError {
     /// An ingest record failed to decode.
     BadRecord(ReadTraceError),
     /// The frame's payload (the contained byte count) cannot fit the
-    /// protocol bounds: over [`MAX_FRAME_BYTES`] for a single v1
-    /// frame, or over [`MAX_REASSEMBLED_BYTES`] for a v2 continuation
-    /// run.
+    /// protocol bounds: over [`MAX_FRAME_BYTES`] for a frame without a
+    /// sequence id, or over [`MAX_REASSEMBLED_BYTES`] for a
+    /// continuation run.
     Oversized(usize),
 }
 
@@ -411,13 +421,17 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// Writes one complete frame (length prefix, envelope, optional v2
-/// seq, payload bytes, CRC) to `out`. The payload must already fit one
+/// Writes one complete frame (length prefix, envelope, optional seq,
+/// payload bytes, CRC) to `out`. The payload must already fit one
 /// frame.
-fn encode_raw(version: u8, ftype: u8, seq: Option<u32>, payload: &[u8], out: &mut Vec<u8>) {
+fn encode_raw(ftype: u8, seq: Option<u32>, payload: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0, 0, 0, 0]); // length back-patched below
-    out.push(version);
+    out.push(if seq.is_some() {
+        VERSION_SEQ
+    } else {
+        VERSION_NO_SEQ
+    });
     out.push(ftype);
     if let Some(seq) = seq {
         out.extend_from_slice(&seq.to_le_bytes());
@@ -433,57 +447,33 @@ fn encode_raw(version: u8, ftype: u8, seq: Option<u32>, payload: &[u8], out: &mu
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encodes `frame` as a single v1 frame into `out`.
+/// Encodes one message. A request or reply carries `Some(seq)`; a
+/// payload too large for a single frame is split across
+/// [`Frame::Partial`] continuation frames sharing `seq`. `None` encodes
+/// one of the server's connection-level frames (see the module doc),
+/// which never splits.
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`] when the payload cannot fit one frame
-/// (`out` is left untouched); a v2 [`encode_message`] splits such
-/// payloads across continuation frames instead.
-pub fn try_encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let mut payload = Vec::with_capacity(64);
-    encode_payload(frame, &mut payload);
-    if payload.len() + ENVELOPE_BYTES > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(payload.len()));
-    }
-    encode_raw(PROTOCOL_VERSION, frame_type(frame), None, &payload, out);
-    Ok(())
-}
-
-/// Encodes `frame` (length prefix, envelope, payload, CRC) into `out`.
-///
-/// # Panics
-///
-/// Panics when the encoded frame would exceed [`MAX_FRAME_BYTES`];
-/// use [`try_encode_frame`] (v1) or [`encode_message`] (v2, which
-/// splits) where oversized payloads are reachable.
-pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    try_encode_frame(frame, out).expect("encoded frame exceeds MAX_FRAME_BYTES");
-}
-
-/// Encodes one message: v1 when `seq` is `None`, v2 (sequence-tagged)
-/// otherwise. A v2 payload too large for a single frame is split
-/// across [`Frame::Partial`] continuation frames sharing `seq`.
-///
-/// # Errors
-///
-/// [`WireError::Oversized`] for a v1 payload over [`MAX_FRAME_BYTES`],
-/// for a v2 payload over [`MAX_REASSEMBLED_BYTES`], or when `frame` is
-/// itself a [`Frame::Partial`] too large for one frame (continuations
-/// do not nest). `out` is left unchanged on error.
+/// [`WireError::Oversized`] for a payload over [`MAX_REASSEMBLED_BYTES`],
+/// for a payload over [`MAX_FRAME_BYTES`] without a sequence id, or when
+/// `frame` is itself a [`Frame::Partial`] too large for one frame
+/// (continuations do not nest). `out` is left unchanged on error.
 pub fn encode_message(seq: Option<u32>, frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let Some(seq) = seq else {
-        return try_encode_frame(frame, out);
-    };
     let mut payload = Vec::with_capacity(64);
     encode_payload(frame, &mut payload);
     let ftype = frame_type(frame);
-    let max_payload = MAX_FRAME_BYTES - ENVELOPE_V2_BYTES;
+    let envelope = if seq.is_some() {
+        ENVELOPE_SEQ_BYTES
+    } else {
+        ENVELOPE_BYTES
+    };
+    let max_payload = MAX_FRAME_BYTES - envelope;
     if payload.len() <= max_payload {
-        encode_raw(PROTOCOL_V2, ftype, Some(seq), &payload, out);
+        encode_raw(ftype, seq, &payload, out);
         return Ok(());
     }
-    if payload.len() > MAX_REASSEMBLED_BYTES || ftype == T_PARTIAL {
+    if seq.is_none() || payload.len() > MAX_REASSEMBLED_BYTES || ftype == T_PARTIAL {
         return Err(WireError::Oversized(payload.len()));
     }
     // Split into continuation frames: each carries inner type + last
@@ -496,29 +486,12 @@ pub fn encode_message(seq: Option<u32>, frame: &Frame, out: &mut Vec<u8>) -> Res
         partial.push(ftype);
         partial.push(u8::from(i == last_index));
         partial.extend_from_slice(chunk);
-        encode_raw(PROTOCOL_V2, T_PARTIAL, Some(seq), &partial, out);
+        encode_raw(T_PARTIAL, seq, &partial, out);
     }
     Ok(())
 }
 
-/// Encodes and writes one frame to `writer`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-///
-/// # Panics
-///
-/// Panics when the frame exceeds [`MAX_FRAME_BYTES`] (see
-/// [`encode_frame`]).
-pub fn write_frame<W: Write>(mut writer: W, frame: &Frame) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(frame, &mut buf);
-    writer.write_all(&buf)
-}
-
-/// Encodes and writes one message (v1 or v2, see [`encode_message`])
-/// to `writer`.
+/// Encodes and writes one message (see [`encode_message`]) to `writer`.
 ///
 /// # Errors
 ///
@@ -686,17 +659,17 @@ fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, WireError> {
 
 fn decode_body(body: &[u8]) -> Result<Message, WireError> {
     // body = version + type [+ seq] + payload + crc; length validated
-    // to at least the v1 envelope.
+    // to at least the envelope without a sequence id.
     let crc_off = body.len() - 4;
     let expect = u32::from_le_bytes(body[crc_off..].try_into().expect("4B crc"));
     if crc32(&body[..crc_off]) != expect {
         return Err(WireError::BadChecksum);
     }
     let (seq, payload) = match body[0] {
-        PROTOCOL_VERSION => (None, &body[2..crc_off]),
-        PROTOCOL_V2 => {
-            if body.len() < ENVELOPE_V2_BYTES {
-                return Err(WireError::Malformed("v2 envelope short"));
+        VERSION_NO_SEQ => (None, &body[2..crc_off]),
+        VERSION_SEQ => {
+            if body.len() < ENVELOPE_SEQ_BYTES {
+                return Err(WireError::Malformed("sequence envelope short"));
             }
             (Some(u32_at(body, 2)), &body[6..crc_off])
         }
@@ -706,27 +679,17 @@ fn decode_body(body: &[u8]) -> Result<Message, WireError> {
     Ok(Message { seq, frame })
 }
 
-/// Incremental frame parser: feed it raw bytes as they arrive, pull
-/// complete frames out.
-///
-/// This is the only decode path — the blocking [`read_frame`] and the
-/// continuation-reassembling [`MessageAssembler`] are built on it — so
-/// the property tests that throw corrupt, truncated, and oversized
-/// byte streams at the assembler cover the server's decoder exactly.
+/// Incremental frame parser: raw bytes in, single frames out. The
+/// private first stage of [`MessageAssembler`], which reassembles the
+/// continuation runs it yields.
 #[derive(Debug, Default)]
-pub struct FrameAssembler {
+struct FrameAssembler {
     buf: Vec<u8>,
     consumed: usize,
 }
 
 impl FrameAssembler {
-    /// Creates an empty assembler.
-    pub fn new() -> Self {
-        FrameAssembler::default()
-    }
-
-    /// Appends raw bytes received from the transport.
-    pub fn push_bytes(&mut self, bytes: &[u8]) {
+    fn push_bytes(&mut self, bytes: &[u8]) {
         // Compact lazily: drop consumed bytes before growing.
         if self.consumed > 0 {
             self.buf.drain(..self.consumed);
@@ -735,21 +698,13 @@ impl FrameAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// True when no partial frame is buffered (safe point to close an
-    /// idle connection).
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.buf.len() == self.consumed
     }
 
-    /// Extracts the next complete message (frame plus v2 sequence id),
-    /// `Ok(None)` if more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the buffered bytes cannot be a
-    /// valid frame; the connection should be torn down (the stream
-    /// offset can no longer be trusted).
-    pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
+    /// The next complete frame with its sequence id, `Ok(None)` if more
+    /// bytes are needed.
+    fn next_message(&mut self) -> Result<Option<Message>, WireError> {
         let pending = &self.buf[self.consumed..];
         if pending.len() < 4 {
             return Ok(None);
@@ -766,23 +721,17 @@ impl FrameAssembler {
         self.consumed += 4 + len as usize;
         Ok(Some(message))
     }
-
-    /// Extracts the next complete frame, `Ok(None)` if more bytes are
-    /// needed. The v2 sequence id, if any, is discarded — use
-    /// [`next_message`](Self::next_message) where it matters.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`next_message`](Self::next_message).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        Ok(self.next_message()?.map(|m| m.frame))
-    }
 }
 
-/// Message parser with continuation reassembly: a [`FrameAssembler`]
-/// that additionally collects runs of [`Frame::Partial`] continuation
-/// frames (same sequence id) back into the single oversized frame they
-/// carry.
+/// Incremental message parser: feed it raw bytes as they arrive, pull
+/// complete messages out. Runs of [`Frame::Partial`] continuation
+/// frames (same sequence id) come out as the single oversized frame
+/// they carry.
+///
+/// This is the only decode path — the server's connection readers run
+/// it, and [`MessageReader`] wraps it for blocking clients — so the
+/// property tests that throw corrupt, truncated, and oversized byte
+/// streams at it cover the server's decoder exactly.
 ///
 /// Hostile-input bounds: a continuation run may reassemble at most
 /// [`MAX_REASSEMBLED_BYTES`]; a run interrupted by a different frame,
@@ -822,10 +771,12 @@ impl MessageAssembler {
     ///
     /// # Errors
     ///
-    /// Any [`FrameAssembler`] error, plus [`WireError::Oversized`] for
-    /// a continuation run past [`MAX_REASSEMBLED_BYTES`] and
-    /// [`WireError::Malformed`] for an interrupted or inconsistent run.
-    /// All errors mean the stream can no longer be trusted.
+    /// A [`WireError`] when the buffered bytes cannot be a valid frame
+    /// (bad length, version, checksum, type or payload), plus
+    /// [`WireError::Oversized`] for a continuation run past
+    /// [`MAX_REASSEMBLED_BYTES`] and [`WireError::Malformed`] for an
+    /// interrupted or inconsistent run. All errors mean the stream can
+    /// no longer be trusted: tear the connection down.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
         loop {
             let Some(message) = self.frames.next_message()? else {
@@ -881,52 +832,10 @@ impl MessageAssembler {
     }
 }
 
-/// Reads one complete frame from a blocking reader.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] if the stream ends cleanly mid-frame (or
-/// before one starts); any other [`WireError`] as produced by the
-/// decoder.
-pub fn read_frame<R: Read>(mut reader: R) -> Result<Frame, WireError> {
-    let mut asm = FrameAssembler::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = asm.next_frame()? {
-            return Ok(frame);
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => asm.push_bytes(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-}
-
-/// Reads one complete message from a blocking reader, reassembling
-/// continuation frames.
-///
-/// Only safe on strictly half-duplex exchanges (one reply in flight):
-/// the assembler is local to the call, so any bytes read past the
-/// first message — e.g. several pipelined replies sharing one TCP
-/// segment — are **discarded** when it returns. Pipelined readers must
-/// hold a [`MessageReader`] instead.
-///
-/// # Errors
-///
-/// Same contract as [`read_frame`], plus the reassembly errors of
-/// [`MessageAssembler::next_message`].
-pub fn read_message<R: Read>(mut reader: R) -> Result<Message, WireError> {
-    MessageReader::new().next_from(reader.by_ref())
-}
-
 /// Blocking message reader that keeps its [`MessageAssembler`] across
 /// calls, so replies buffered past the one being returned survive for
-/// the next call. This is the read side a **pipelined** client needs:
-/// with several requests in flight, the kernel routinely delivers many
-/// small replies in one `read`, and the one-shot [`read_message`]
-/// would silently drop all but the first.
+/// the next call: with several requests in flight, the kernel routinely
+/// delivers many small replies in one `read`. Hold one per connection.
 #[derive(Debug, Default)]
 pub struct MessageReader {
     asm: MessageAssembler,
@@ -943,7 +852,9 @@ impl MessageReader {
     ///
     /// # Errors
     ///
-    /// Same contract as [`read_message`].
+    /// [`WireError::Truncated`] if the stream ends cleanly mid-frame (or
+    /// before one starts), [`WireError::Io`] on a transport failure, and
+    /// any decode error of [`MessageAssembler::next_message`].
     pub fn next_from<R: Read>(&mut self, mut reader: R) -> Result<Message, WireError> {
         let mut chunk = [0u8; 4096];
         loop {
@@ -975,17 +886,23 @@ mod tests {
     #[test]
     fn assembler_handles_split_delivery() {
         let mut bytes = Vec::new();
-        encode_frame(&Frame::QueryCoverage, &mut bytes);
-        encode_frame(&Frame::IngestAck(7), &mut bytes);
-        let mut asm = FrameAssembler::new();
+        encode_message(Some(1), &Frame::QueryCoverage, &mut bytes).unwrap();
+        encode_message(Some(2), &Frame::IngestAck(7), &mut bytes).unwrap();
+        let mut asm = MessageAssembler::new();
         let mut got = Vec::new();
         for b in &bytes {
             asm.push_bytes(std::slice::from_ref(b));
-            while let Some(f) = asm.next_frame().unwrap() {
-                got.push(f);
+            while let Some(m) = asm.next_message().unwrap() {
+                got.push((m.seq, m.frame));
             }
         }
-        assert_eq!(got, vec![Frame::QueryCoverage, Frame::IngestAck(7)]);
+        assert_eq!(
+            got,
+            vec![
+                (Some(1), Frame::QueryCoverage),
+                (Some(2), Frame::IngestAck(7))
+            ]
+        );
         assert!(asm.is_idle());
     }
 
@@ -1004,8 +921,7 @@ mod tests {
     #[test]
     fn message_reader_keeps_replies_coalesced_into_one_read() {
         // Pipelined regression: many small replies arrive in one TCP
-        // segment. The persistent reader must yield every one; the
-        // one-shot read_message by design only yields the first.
+        // segment, and the persistent reader must yield every one.
         let mut bytes = Vec::new();
         for seq in 0..5u32 {
             encode_message(Some(seq), &Frame::IngestAck(seq), &mut bytes).unwrap();
@@ -1024,10 +940,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_v1_frame_is_an_error_not_a_panic() {
+    fn oversized_seqless_frame_is_an_error_not_a_panic() {
         let big = Frame::MetricsReply("x".repeat(MAX_FRAME_BYTES + 1));
         let mut out = Vec::new();
-        match try_encode_frame(&big, &mut out) {
+        match encode_message(None, &big, &mut out) {
             Err(WireError::Oversized(_)) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }

@@ -9,8 +9,8 @@ use std::thread;
 use tempstream_serve::offline;
 use tempstream_serve::shard::{shard_of, ShardConfig};
 use tempstream_serve::wire::{
-    read_frame, read_message, write_frame, write_message, DeltaCounts, Frame, MessageReader,
-    ERR_BAD_FRAME, ERR_DRAINING, ERR_OVERSIZED, ERR_SHARD_FAILED, MAX_FRAME_BYTES,
+    write_message, DeltaCounts, Frame, Message, MessageReader, WireError, ERR_BAD_FRAME,
+    ERR_DRAINING, ERR_SHARD_FAILED, MAX_FRAME_BYTES,
 };
 use tempstream_serve::{Server, ServerConfig};
 use tempstream_trace::miss::MissRecord;
@@ -40,15 +40,65 @@ fn start_server(config: ServerConfig) -> (String, thread::JoinHandle<std::io::Re
     (addr, handle)
 }
 
-fn call(stream: &mut TcpStream, request: &Frame) -> Frame {
-    write_frame(&mut *stream, request).expect("send");
-    read_frame(&mut *stream).expect("recv")
+/// A client connection: the socket, a persistent reader (replies can
+/// share one TCP segment) and the next request's sequence id.
+struct Conn {
+    stream: TcpStream,
+    reader: MessageReader,
+    next_seq: u32,
 }
 
-fn ingest_all(stream: &mut TcpStream, records: &[MissRecord<MissClass>], batch: usize) {
+fn connect(addr: &str) -> Conn {
+    Conn {
+        stream: TcpStream::connect(addr).expect("connect"),
+        reader: MessageReader::new(),
+        next_seq: 0,
+    }
+}
+
+impl Conn {
+    /// Sends `request` under the next sequence id and returns the id.
+    fn send(&mut self, request: &Frame) -> u32 {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        write_message(&mut self.stream, Some(seq), request).expect("send");
+        seq
+    }
+
+    fn recv(&mut self) -> Result<Message, WireError> {
+        self.reader.next_from(&mut self.stream)
+    }
+
+    /// Reads one of the server's connection-level frames, which answer
+    /// no request and so carry no sequence id.
+    fn recv_unsolicited(&mut self) -> Frame {
+        let msg = self.recv().expect("connection-level frame");
+        assert_eq!(msg.seq, None, "{:?} answers no request", msg.frame);
+        msg.frame
+    }
+
+    /// Asserts the server closed the connection with nothing more sent.
+    fn assert_closed(&mut self) {
+        match self.recv() {
+            Err(WireError::Truncated) => {}
+            other => panic!("expected a closed connection, got {other:?}"),
+        }
+    }
+}
+
+/// One request/reply round trip; asserts the reply echoes the request's
+/// sequence id.
+fn call(conn: &mut Conn, request: &Frame) -> Frame {
+    let seq = conn.send(request);
+    let msg = conn.recv().expect("recv");
+    assert_eq!(msg.seq, Some(seq), "reply must echo the request seq");
+    msg.frame
+}
+
+fn ingest_all(conn: &mut Conn, records: &[MissRecord<MissClass>], batch: usize) {
     for chunk in records.chunks(batch) {
         loop {
-            match call(stream, &Frame::Ingest(chunk.to_vec())) {
+            match call(conn, &Frame::Ingest(chunk.to_vec())) {
                 Frame::IngestAck(n) => {
                     assert_eq!(n as usize, chunk.len());
                     break;
@@ -60,8 +110,8 @@ fn ingest_all(stream: &mut TcpStream, records: &[MissRecord<MissClass>], batch: 
     }
 }
 
-fn shutdown(stream: &mut TcpStream) {
-    assert_eq!(call(stream, &Frame::Shutdown), Frame::ShutdownAck);
+fn shutdown(conn: &mut Conn) {
+    assert_eq!(call(conn, &Frame::Shutdown), Frame::ShutdownAck);
 }
 
 #[test]
@@ -73,7 +123,7 @@ fn online_answers_match_offline_batch_across_shard_counts() {
             ..ServerConfig::default()
         };
         let (addr, handle) = start_server(config);
-        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let mut conn = connect(&addr);
         ingest_all(&mut conn, &records, 128);
 
         let want = offline::expected(&records, shards, ShardConfig::default(), 8);
@@ -126,7 +176,7 @@ fn online_answers_match_offline_batch_across_shard_counts() {
 fn one_shard_server_equals_whole_trace_batch_analysis() {
     let records = seeded_records(0x5eed, 1200);
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     ingest_all(&mut conn, &records, 200);
 
     let num_cpus = records.iter().map(|r| r.cpu.raw()).max().unwrap_or(0) + 1;
@@ -156,7 +206,7 @@ fn queries_reflect_every_acked_record_mid_stream() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     // Interleave ingest and queries: after each prefix, the answer
     // must equal the offline result for exactly that prefix
     // (read-your-writes + SEQUITUR's online property). The comparator
@@ -218,26 +268,26 @@ fn queries_reflect_every_acked_record_mid_stream() {
 
 #[test]
 fn malformed_bytes_get_an_error_frame_then_close() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     // A hostile length prefix followed by garbage.
-    conn.write_all(&u32::MAX.to_le_bytes()).expect("send");
-    conn.write_all(&[0xAA; 32]).expect("send");
-    match read_frame(&mut conn) {
-        Ok(Frame::Error { code, message }) => {
+    conn.stream
+        .write_all(&u32::MAX.to_le_bytes())
+        .expect("send");
+    conn.stream.write_all(&[0xAA; 32]).expect("send");
+    match conn.recv_unsolicited() {
+        Frame::Error { code, message } => {
             assert_eq!(code, ERR_BAD_FRAME);
             assert!(!message.is_empty());
         }
         other => panic!("expected error frame, got {other:?}"),
     }
     // The server closes the connection after the error frame.
-    let mut rest = Vec::new();
-    conn.read_to_end(&mut rest).expect("drain");
-    assert!(rest.is_empty(), "no bytes after the error frame");
+    conn.assert_closed();
 
     // The server survives; a fresh connection works.
-    let mut conn2 = TcpStream::connect(&addr).expect("reconnect");
+    let mut conn2 = connect(&addr);
     assert!(matches!(
         call(&mut conn2, &Frame::QueryCoverage),
         Frame::CoverageReply { total: 0, .. }
@@ -246,32 +296,65 @@ fn malformed_bytes_get_an_error_frame_then_close() {
     handle.join().expect("server thread").expect("server run");
 }
 
+/// A request without a sequence id is not a request: it is answered
+/// `Error{ERR_BAD_FRAME}` with no seq, the connection closes, and it
+/// counts as a decode error, never as a received frame.
+#[test]
+fn request_without_a_sequence_id_is_refused_and_the_connection_closes() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut conn = connect(&addr);
+    write_message(&mut conn.stream, None, &Frame::QueryCoverage).expect("send");
+    match conn.recv_unsolicited() {
+        Frame::Error { code, message } => {
+            assert_eq!(code, ERR_BAD_FRAME);
+            assert!(message.contains("sequence id"), "{message}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    conn.assert_closed();
+
+    // The server survives; a second connection is served.
+    let mut conn2 = connect(&addr);
+    assert!(matches!(
+        call(&mut conn2, &Frame::QueryCoverage),
+        Frame::CoverageReply { total: 0, .. }
+    ));
+    let at = metrics(&mut conn2);
+    assert_eq!(at("counters/serve/frames/decode_errors"), 1);
+    assert_eq!(
+        at("counters/serve/frames/received"),
+        2,
+        "coverage + snapshot"
+    );
+    shutdown(&mut conn2);
+    handle.join().expect("server thread").expect("server run");
+}
+
 #[test]
 fn ingest_frame_with_out_of_range_block_is_rejected() {
-    use std::io::Read;
     let (addr, handle) = start_server(ServerConfig {
         shards: 2,
         ..ServerConfig::default()
     });
     let records = seeded_records(0xb10c, 64);
-    let mut good = TcpStream::connect(&addr).expect("connect");
+    let mut good = connect(&addr);
     ingest_all(&mut good, &records, 16);
 
     // A block no byte address maps to: the wire decoder must turn it
     // away before it reaches a shard's grammar builder.
     let mut hostile = records[..4].to_vec();
     hostile[2].block = Block::new(Block::MAX_RAW + 1);
-    let mut conn = TcpStream::connect(&addr).expect("connect");
-    match call(&mut conn, &Frame::Ingest(hostile)) {
+    let mut conn = connect(&addr);
+    conn.send(&Frame::Ingest(hostile));
+    // The frame never decodes, so the error answers no request.
+    match conn.recv_unsolicited() {
         Frame::Error { code, message } => {
             assert_eq!(code, ERR_BAD_FRAME);
             assert!(message.contains("block"), "{message}");
         }
         other => panic!("expected error frame, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    conn.read_to_end(&mut rest).expect("drain");
-    assert!(rest.is_empty(), "no bytes after the error frame");
+    conn.assert_closed();
 
     // The server still answers, over exactly the records it accepted,
     // and drains.
@@ -286,12 +369,12 @@ fn ingest_frame_with_out_of_range_block_is_rejected() {
 #[test]
 fn reply_direction_frame_is_rejected() {
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     match call(&mut conn, &Frame::IngestAck(1)) {
         Frame::Error { code, .. } => assert_eq!(code, ERR_BAD_FRAME),
         other => panic!("expected error frame, got {other:?}"),
     }
-    let mut conn2 = TcpStream::connect(&addr).expect("reconnect");
+    let mut conn2 = connect(&addr);
     shutdown(&mut conn2);
     handle.join().expect("server thread").expect("server run");
 }
@@ -303,14 +386,14 @@ fn connection_admission_rejects_excess_with_busy() {
         ..ServerConfig::default()
     });
     // First connection occupies the only lane...
-    let mut held = TcpStream::connect(&addr).expect("connect");
+    let mut held = connect(&addr);
     assert!(matches!(
         call(&mut held, &Frame::QueryCoverage),
         Frame::CoverageReply { .. }
     ));
     // ...so the second is turned away with Busy and closed.
-    let mut rejected = TcpStream::connect(&addr).expect("connect");
-    assert_eq!(read_frame(&mut rejected).expect("busy frame"), Frame::Busy);
+    let mut rejected = connect(&addr);
+    assert_eq!(rejected.recv_unsolicited(), Frame::Busy);
     drop(rejected);
 
     // Releasing the lane admits a new connection (poll until the
@@ -318,8 +401,8 @@ fn connection_admission_rejects_excess_with_busy() {
     drop(held);
     let mut last = None;
     for _ in 0..200 {
-        let mut conn = TcpStream::connect(&addr).expect("connect");
-        match read_frame_or_query(&mut conn) {
+        let mut conn = connect(&addr);
+        match try_query(&mut conn) {
             Ok(frame) => {
                 last = Some((conn, frame));
                 break;
@@ -335,30 +418,25 @@ fn connection_admission_rejects_excess_with_busy() {
 
 /// Sends a coverage query; `Err(())` if the server answered `Busy`
 /// (admission still exhausted) or closed the connection.
-fn read_frame_or_query(conn: &mut TcpStream) -> Result<Frame, ()> {
-    write_frame(&mut *conn, &Frame::QueryCoverage).map_err(|_| ())?;
-    match read_frame(&mut *conn) {
-        Ok(Frame::Busy) | Err(_) => Err(()),
-        Ok(frame) => Ok(frame),
+fn try_query(conn: &mut Conn) -> Result<Frame, ()> {
+    write_message(&mut conn.stream, Some(0), &Frame::QueryCoverage).map_err(|_| ())?;
+    match conn.recv() {
+        Ok(Message {
+            seq: Some(0),
+            frame,
+        }) => Ok(frame),
+        _ => Err(()),
     }
 }
 
-// --- protocol v2: pipelining + incremental deltas -------------------------
+// --- pipelining + incremental deltas ----------------------------------------
 
 fn signed(n: u64) -> i64 {
     i64::try_from(n).expect("count fits i64")
 }
 
-/// One v2 request/reply round trip; asserts the reply echoes `seq`.
-fn call_v2(stream: &mut TcpStream, seq: u32, request: &Frame) -> Frame {
-    write_message(&mut *stream, Some(seq), request).expect("send v2");
-    let msg = read_message(&mut *stream).expect("recv v2");
-    assert_eq!(msg.seq, Some(seq), "reply must echo the request seq");
-    msg.frame
-}
-
-fn query_delta(stream: &mut TcpStream, seq: u32) -> DeltaCounts {
-    match call_v2(stream, seq, &Frame::QueryDelta) {
+fn query_delta(conn: &mut Conn) -> DeltaCounts {
+    match call(conn, &Frame::QueryDelta) {
         Frame::DeltaReply(delta) => delta,
         other => panic!("unexpected delta reply: {other:?}"),
     }
@@ -395,13 +473,13 @@ impl DeltaAcc {
     }
 }
 
-/// Pipelines `records` over protocol v2 with up to `window` requests in
-/// flight, interleaving a `QueryDelta` every `delta_every` acks.
+/// Pipelines `records` with up to `window` requests in flight,
+/// interleaving a `QueryDelta` every `delta_every` acks.
 /// Returns the records in ack (= admission) order plus the accumulated
 /// deltas, with the final delta already absorbed so the telescoped sums
 /// cover the whole ingest.
 fn ingest_pipelined(
-    conn: &mut TcpStream,
+    conn: &mut Conn,
     records: &[MissRecord<MissClass>],
     batch: usize,
     window: usize,
@@ -419,34 +497,21 @@ fn ingest_pipelined(
         }
     }
     let batches: Vec<&[MissRecord<MissClass>]> = records.chunks(batch).collect();
-    // Pipelined replies coalesce into shared TCP segments; a one-shot
-    // read_message would drop the extras, so hold a persistent reader.
-    let mut reader = MessageReader::new();
     let mut pending: VecDeque<usize> = (0..batches.len()).collect();
     let mut inflight: VecDeque<Slot> = VecDeque::new();
     let mut acc = DeltaAcc::default();
     let mut acked: Vec<usize> = Vec::new();
-    let mut seq: u32 = 0;
     let mut acks_since_delta = 0usize;
-    let next_seq = |slot: &mut u32| {
-        let s = *slot;
-        *slot = slot.wrapping_add(1);
-        s
-    };
     loop {
         // Fill the window, preferring a due delta probe over new ingest
         // so the cursor advances mid-stream, not just at the end.
         while inflight.len() < window {
             if acks_since_delta >= delta_every {
                 acks_since_delta = 0;
-                let s = next_seq(&mut seq);
-                write_message(&mut *conn, Some(s), &Frame::QueryDelta).expect("send delta");
-                inflight.push_back(Slot::Delta(s));
+                inflight.push_back(Slot::Delta(conn.send(&Frame::QueryDelta)));
             } else if let Some(idx) = pending.pop_front() {
-                let s = next_seq(&mut seq);
-                write_message(&mut *conn, Some(s), &Frame::Ingest(batches[idx].to_vec()))
-                    .expect("send ingest");
-                inflight.push_back(Slot::Ingest(s, idx));
+                let seq = conn.send(&Frame::Ingest(batches[idx].to_vec()));
+                inflight.push_back(Slot::Ingest(seq, idx));
             } else {
                 break;
             }
@@ -454,7 +519,7 @@ fn ingest_pipelined(
         let Some(slot) = inflight.pop_front() else {
             break;
         };
-        let msg = reader.next_from(&mut *conn).expect("pipelined reply");
+        let msg = conn.recv().expect("pipelined reply");
         assert_eq!(
             msg.seq,
             Some(slot.seq()),
@@ -483,16 +548,8 @@ fn ingest_pipelined(
         }
     }
     // Close the telescope: one final delta covers everything acked
-    // after the last interleaved probe (read through the same
-    // persistent reader in case it still buffers bytes).
-    let final_seq = next_seq(&mut seq);
-    write_message(&mut *conn, Some(final_seq), &Frame::QueryDelta).expect("send final delta");
-    let msg = reader.next_from(&mut *conn).expect("final delta");
-    assert_eq!(msg.seq, Some(final_seq));
-    match msg.frame {
-        Frame::DeltaReply(delta) => acc.absorb(&delta),
-        other => panic!("unexpected final delta reply: {other:?}"),
-    }
+    // after the last interleaved probe.
+    acc.absorb(&query_delta(conn));
     let effective = acked
         .iter()
         .flat_map(|&idx| batches[idx].iter().copied())
@@ -508,7 +565,7 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
             shards,
             ..ServerConfig::default()
         });
-        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let mut conn = connect(&addr);
         let (effective, acc) = ingest_pipelined(&mut conn, &records, 128, 8, 5);
         assert_eq!(effective.len(), records.len(), "shards={shards}");
         assert_eq!(acc.applied, records.len() as u64, "shards={shards}");
@@ -518,8 +575,8 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
         // reconstructing it keeps the check honest).
         let want = offline::expected(&effective, shards, ShardConfig::default(), 8);
 
-        // Absolute v1 queries still work on the same connection, and
-        // the telescoped delta sums equal those absolutes exactly.
+        // Absolute queries on the same connection, and the telescoped
+        // delta sums equal those absolutes exactly.
         match call(&mut conn, &Frame::QueryStreamFraction) {
             Frame::StreamFractionReply {
                 non_repetitive,
@@ -590,7 +647,7 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
 
         // A quiescent connection's next delta is empty, at the same
         // watermark — the version fast path, observable as a no-op.
-        let quiet = query_delta(&mut conn, 0xFFFF);
+        let quiet = query_delta(&mut conn);
         assert!(quiet.is_empty(), "shards={shards}: {quiet:?}");
         assert_eq!(quiet.applied, records.len() as u64, "shards={shards}");
 
@@ -606,8 +663,8 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn1 = TcpStream::connect(&addr).expect("connect 1");
-    let mut conn2 = TcpStream::connect(&addr).expect("connect 2");
+    let mut conn1 = connect(&addr);
+    let mut conn2 = connect(&addr);
 
     ingest_all(&mut conn1, &records[..500], 100);
     // One comparator, snapshot at each cut — the 500-record prefix is
@@ -620,7 +677,7 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
 
     // First delta on each connection is absolute (fresh cursor), and
     // both connections see the same consistent cut.
-    let d1a = query_delta(&mut conn1, 1);
+    let d1a = query_delta(&mut conn1);
     assert_eq!(d1a.applied, 500);
     assert_eq!(d1a.non_repetitive, signed(want500.streams.non_repetitive));
     assert_eq!(
@@ -628,14 +685,14 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         signed(want500.streams.distinct_streams)
     );
     assert_eq!(d1a.total, signed(want500.coverage.total));
-    let d2a = query_delta(&mut conn2, 1);
+    let d2a = query_delta(&mut conn2);
     assert_eq!(d2a, d1a, "independent cursors over the same cut agree");
 
     ingest_all(&mut conn1, &records[500..], 100);
 
     // Second delta carries only the change since each cursor's cut —
     // exactly the difference of the offline prefix answers.
-    let d1b = query_delta(&mut conn1, 2);
+    let d1b = query_delta(&mut conn1);
     assert_eq!(d1b.applied, 1000);
     assert_eq!(
         d1b.non_repetitive,
@@ -649,12 +706,12 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         d1b.covered,
         signed(want1000.coverage.covered) - signed(want500.coverage.covered)
     );
-    let d2b = query_delta(&mut conn2, 2);
+    let d2b = query_delta(&mut conn2);
     assert_eq!(d2b, d1b, "same cursor position, same diff");
 
     // A connection opened late still gets the full absolute picture.
-    let mut conn3 = TcpStream::connect(&addr).expect("connect 3");
-    let d3 = query_delta(&mut conn3, 1);
+    let mut conn3 = connect(&addr);
+    let d3 = query_delta(&mut conn3);
     assert_eq!(d3.applied, 1000);
     assert_eq!(d3.non_repetitive, signed(want1000.streams.non_repetitive));
     assert_eq!(d3.issued, signed(want1000.coverage.issued));
@@ -666,12 +723,10 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
 // --- satellite regressions ------------------------------------------------
 
 /// Satellite 1: a metrics registry whose JSON exceeds the 1 MiB frame
-/// cap used to trip `encode_frame`'s assert and kill the connection
-/// thread. Now: v1 clients get `Error{ERR_OVERSIZED}` on a surviving
-/// connection; v2 clients get the full snapshot across continuation
-/// frames.
+/// cap used to trip the encoder's assert and kill the connection
+/// thread. Now the snapshot arrives whole across continuation frames.
 #[test]
-fn oversized_metrics_snapshot_errors_on_v1_and_chunks_on_v2() {
+fn oversized_metrics_snapshot_chunks_into_continuation_frames() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let server = Server::from_listener(listener, ServerConfig::default());
@@ -686,29 +741,9 @@ fn oversized_metrics_snapshot_errors_on_v1_and_chunks_on_v2() {
     }
     let handle = thread::spawn(move || server.run());
 
-    // v1: the reply is substituted with an error frame, and the same
-    // connection keeps working afterwards.
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
+    // The snapshot arrives whole, reassembled from continuations.
     match call(&mut conn, &Frame::QueryMetricsSnapshot) {
-        Frame::Error { code, message } => {
-            assert_eq!(code, ERR_OVERSIZED);
-            assert!(
-                message.contains("v2"),
-                "error should point at v2: {message}"
-            );
-        }
-        other => panic!("expected oversized error, got {other:?}"),
-    }
-    assert!(
-        matches!(
-            call(&mut conn, &Frame::QueryCoverage),
-            Frame::CoverageReply { .. }
-        ),
-        "connection survives an oversized reply"
-    );
-
-    // v2: the snapshot arrives whole, reassembled from continuations.
-    match call_v2(&mut conn, 7, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
             assert!(
                 json.len() > MAX_FRAME_BYTES,
@@ -740,10 +775,10 @@ fn panicking_connection_handler_frees_its_slot() {
     });
     // The first connection trips the injected panic on its first frame;
     // the server drops the connection without a reply.
-    let mut victim = TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut victim, &Frame::QueryCoverage).expect("send");
+    let mut victim = connect(&addr);
+    victim.send(&Frame::QueryCoverage);
     assert!(
-        read_frame(&mut victim).is_err(),
+        victim.recv().is_err(),
         "panicked handler closes the connection unanswered"
     );
     drop(victim);
@@ -752,8 +787,8 @@ fn panicking_connection_handler_frees_its_slot() {
     // admitted and answered (pre-fix this loops to exhaustion).
     let mut last = None;
     for _ in 0..200 {
-        let mut conn = TcpStream::connect(&addr).expect("connect");
-        match read_frame_or_query(&mut conn) {
+        let mut conn = connect(&addr);
+        match try_query(&mut conn) {
             Ok(frame) => {
                 last = Some((conn, frame));
                 break;
@@ -810,7 +845,7 @@ fn panicked_shard_worker_fails_queries_instead_of_hanging() {
                 Frame::Error { code, .. } => assert_eq!(code, ERR_SHARD_FAILED),
                 other => panic!("expected a shard-failed error, got {other:?}"),
             };
-            let mut conn = TcpStream::connect(&addr).expect("connect");
+            let mut conn = connect(&addr);
             if query_first {
                 expect_failed(call(&mut conn, &Frame::QueryCoverage));
             } else {
@@ -827,7 +862,7 @@ fn panicked_shard_worker_fails_queries_instead_of_hanging() {
             ] {
                 expect_failed(call(&mut conn, &request));
             }
-            expect_failed(call_v2(&mut conn, 1, &Frame::QueryDelta));
+            expect_failed(call(&mut conn, &Frame::QueryDelta));
             expect_failed(call(&mut conn, &Frame::Ingest(to_dead[50..100].to_vec())));
             assert_eq!(
                 call(&mut conn, &Frame::Ingest(to_live[..50].to_vec())),
@@ -868,11 +903,11 @@ fn every_delta_is_exact_at_its_watermark() {
         let poller = {
             let addr = addr.clone();
             thread::spawn(move || {
-                let mut conn = TcpStream::connect(&addr).expect("connect");
+                let mut conn = connect(&addr);
                 let mut acc = DeltaAcc::default();
                 let mut seen = Vec::new();
-                for seq in 0u32.. {
-                    acc.absorb(&query_delta(&mut conn, seq));
+                loop {
+                    acc.absorb(&query_delta(&mut conn));
                     seen.push(acc.clone());
                     if acc.applied == total {
                         break;
@@ -881,7 +916,7 @@ fn every_delta_is_exact_at_its_watermark() {
                 seen
             })
         };
-        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let mut conn = connect(&addr);
         let (effective, _) = ingest_pipelined(&mut conn, &records, 50, 8, usize::MAX);
         let seen = poller.join().expect("poller");
         let mut comparator = offline::Comparator::new(shards, ShardConfig::default());
@@ -942,7 +977,7 @@ fn late_client_racing_the_drain_is_answered_not_ghosted() {
         fault_accept_hold_ms: 100,
         ..ServerConfig::default()
     });
-    let mut controller = TcpStream::connect(&addr).expect("connect");
+    let mut controller = connect(&addr);
     assert!(matches!(
         call(&mut controller, &Frame::QueryCoverage),
         Frame::CoverageReply { .. }
@@ -951,18 +986,18 @@ fn late_client_racing_the_drain_is_answered_not_ghosted() {
     // the blocked accept), then the acceptor sleeps before looping.
     let _opener = TcpStream::connect(&addr).expect("connect opener");
     // Inside the hold window: start the drain, then race a connect in.
-    write_frame(&mut controller, &Frame::Shutdown).expect("send shutdown");
-    let mut late = TcpStream::connect(&addr).expect("late connect");
-    late.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+    let shutdown_seq = controller.send(&Frame::Shutdown);
+    let mut late = connect(&addr);
+    late.stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("timeout");
-    match read_frame(&mut late).expect("late client gets an answer") {
+    match late.recv_unsolicited() {
         Frame::Error { code, .. } => assert_eq!(code, ERR_DRAINING),
         other => panic!("expected draining error, got {other:?}"),
     }
-    assert_eq!(
-        read_frame(&mut controller).expect("ack"),
-        Frame::ShutdownAck
-    );
+    let ack = controller.recv().expect("ack");
+    assert_eq!(ack.seq, Some(shutdown_seq));
+    assert_eq!(ack.frame, Frame::ShutdownAck);
     handle.join().expect("server thread").expect("server run");
 }
 
@@ -976,7 +1011,7 @@ fn metrics_snapshot_gauges_sit_on_the_query_cut() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     ingest_all(&mut conn, &records, 100);
     match call(&mut conn, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
@@ -1004,7 +1039,7 @@ fn metrics_snapshot_gauges_sit_on_the_query_cut() {
 
 /// Reads the grammar-walk gauge off a metrics snapshot: how many times
 /// any shard actually re-walked its grammar for `StreamCounts`.
-fn grammar_walks(conn: &mut TcpStream) -> u64 {
+fn grammar_walks(conn: &mut Conn) -> u64 {
     match call(conn, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
             let parsed = tempstream_obsv::Json::parse(&json).expect("valid JSON");
@@ -1041,7 +1076,7 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
 
     // Phase 1: both shards move. Phase 2: only shard 0 (shard 1's
     // cached counts must still be served, and still be right).
@@ -1106,9 +1141,9 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
         }
         // The cursor delta lands on the same cut, and a second probe
         // without ingest is empty (nothing stale left to flush).
-        let d = query_delta(&mut conn, phase as u32);
+        let d = query_delta(&mut conn);
         assert_eq!(d.applied, ingested.len() as u64, "phase {phase}");
-        let quiet = query_delta(&mut conn, 100 + phase as u32);
+        let quiet = query_delta(&mut conn);
         assert!(quiet.is_empty(), "phase {phase}: {quiet:?}");
     }
 
@@ -1127,7 +1162,7 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
     // A fresh connection (fresh cursor, warm shard caches) sees the
     // same absolutes the offline comparator does.
     let want = comparator.expected(8);
-    let mut conn2 = TcpStream::connect(&addr).expect("connect 2");
+    let mut conn2 = connect(&addr);
     match call(&mut conn2, &Frame::QueryTopOrigins(8)) {
         Frame::TopOriginsReply(rows) => assert_eq!(rows, want.top_origins),
         other => panic!("unexpected reply: {other:?}"),
@@ -1160,12 +1195,12 @@ fn delta_probe_walks_only_changed_shards() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
 
     // Hot shard 0, idle shard 1: the delta probe re-snapshots only the
     // shard whose version moved — one walk, not two.
     ingest_all(&mut conn, &shard0[..100], 50);
-    assert!(!query_delta(&mut conn, 1).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         1,
@@ -1173,7 +1208,7 @@ fn delta_probe_walks_only_changed_shards() {
     );
 
     ingest_all(&mut conn, &shard0[100..200], 50);
-    assert!(!query_delta(&mut conn, 2).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(grammar_walks(&mut conn), 2, "hot-shard probes stay O(1)");
 
     // A full absolute query touches every shard, but shard 0's counts
@@ -1190,7 +1225,7 @@ fn delta_probe_walks_only_changed_shards() {
         call(&mut conn, &Frame::QueryStreamFraction),
         Frame::StreamFractionReply { .. }
     ));
-    assert!(query_delta(&mut conn, 3).is_empty());
+    assert!(query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         3,
@@ -1199,7 +1234,7 @@ fn delta_probe_walks_only_changed_shards() {
 
     // Waking the other shard costs exactly one more walk.
     ingest_all(&mut conn, &shard1[..100], 50);
-    assert!(!query_delta(&mut conn, 4).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         4,
@@ -1215,7 +1250,7 @@ fn draining_server_refuses_new_ingest_but_acked_records_survive() {
     // Covered end-to-end by the shutdown paths above; here the focus
     // is that a post-shutdown server really exited (listener gone).
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     ingest_all(&mut conn, &seeded_records(9, 64), 64);
     shutdown(&mut conn);
     handle.join().expect("server thread").expect("server run");
@@ -1229,7 +1264,7 @@ fn draining_server_refuses_new_ingest_but_acked_records_survive() {
 // --- server-side accounting ------------------------------------------------
 
 /// Takes a metrics snapshot and returns a reader of its integer leaves.
-fn metrics(conn: &mut TcpStream) -> impl Fn(&str) -> u64 {
+fn metrics(conn: &mut Conn) -> impl Fn(&str) -> u64 {
     let parsed = match call(conn, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => tempstream_obsv::Json::parse(&json).expect("valid JSON"),
         other => panic!("unexpected metrics reply: {other:?}"),
@@ -1255,7 +1290,7 @@ fn frame_outcomes_add_up_to_frames_received() {
         shard_queue_capacity: 1,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     let (mut acks, mut busies) = (0u64, 0u64);
     for chunk in records.chunks(50) {
         loop {
@@ -1279,20 +1314,23 @@ fn frame_outcomes_add_up_to_frames_received() {
         call(&mut conn, &request);
         queries += 1;
     }
-    query_delta(&mut conn, 1);
+    query_delta(&mut conn);
     queries += 1;
 
     // A reply-direction frame: dispatched, answered with an error.
-    let mut wrong = TcpStream::connect(&addr).expect("connect");
+    let mut wrong = connect(&addr);
     match call(&mut wrong, &Frame::Busy) {
         Frame::Error { code, .. } => assert_eq!(code, ERR_BAD_FRAME),
         other => panic!("expected error frame, got {other:?}"),
     }
     // Garbage: never decodes, so never dispatched.
-    let mut garbage = TcpStream::connect(&addr).expect("connect");
-    garbage.write_all(&u32::MAX.to_le_bytes()).expect("send");
-    garbage.write_all(&[0xAA; 32]).expect("send");
-    assert!(matches!(read_frame(&mut garbage), Ok(Frame::Error { .. })));
+    let mut garbage = connect(&addr);
+    garbage
+        .stream
+        .write_all(&u32::MAX.to_le_bytes())
+        .expect("send");
+    garbage.stream.write_all(&[0xAA; 32]).expect("send");
+    assert!(matches!(garbage.recv_unsolicited(), Frame::Error { .. }));
 
     let at = metrics(&mut conn);
     queries += 1; // the snapshot itself
@@ -1304,6 +1342,8 @@ fn frame_outcomes_add_up_to_frames_received() {
     assert_eq!(at("counters/serve/frames/decode_errors"), 1);
     assert_eq!(at("counters/serve/queries"), queries);
     assert_eq!(received, acks + busies + 1 + queries);
+    // Every client here waits for each reply before sending again.
+    assert_eq!(at("gauges/serve/conn/max_frames_per_read"), 1);
     assert_eq!(
         received,
         at("counters/serve/frames/acked")
@@ -1332,14 +1372,14 @@ fn every_consistent_cut_is_timed() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = connect(&addr);
     let mut cuts = 0u64;
-    for (i, chunk) in records.chunks(300).enumerate() {
+    for chunk in records.chunks(300) {
         ingest_all(&mut conn, chunk, 100);
         call(&mut conn, &Frame::QueryStreamFraction);
         call(&mut conn, &Frame::QueryCoverage);
         call(&mut conn, &Frame::QueryTopOrigins(3));
-        query_delta(&mut conn, i as u32 + 1);
+        query_delta(&mut conn);
         cuts += 4;
     }
     // A metrics snapshot is a cut too; it shows the cuts before it.
