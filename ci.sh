@@ -160,8 +160,9 @@ echo "== serve soak: loopback ingest + verify + drain (window=1) =="
 # the same answers. The snapshot then proves every frame was
 # accounted for: the frames received equal those acked, refused with
 # Busy, answered with an error, queries and shutdowns, and every
-# ingested record was applied; every query before the snapshot was a
-# cut timed once per shard and once for its merge.
+# ingested record was applied and is either in a shard's grammar or
+# past its retention cap; every query before the snapshot was a cut
+# timed once per shard and once for its merge.
 start_server "$det_dir/serve.out" "$det_dir/serve.err"
 [ -n "$serve_addr" ] \
   || { echo "serve soak FAILED: server never printed LISTENING"; cat "$det_dir/serve.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
@@ -181,6 +182,8 @@ jq -e '.verify == "exact"
                                         + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
        and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied
+       and (.metrics.gauges.serve as $g
+            | $g.records.in_state == $g.analysis.symbols + $g.records.overflow)
        and ((.metrics.counters.serve.queries - 1) as $cuts
             | .metrics.histograms.serve.query
             | [.shard0.answer_us.count, .shard1.answer_us.count, .merge_us.count]
@@ -213,6 +216,8 @@ jq -e '.verify == "exact"
                                         + $s.queries + $s.frames.shutdown)
        and .metrics.counters.serve.records.ingested > 0
        and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied
+       and (.metrics.gauges.serve as $g
+            | $g.records.in_state == $g.analysis.symbols + $g.records.overflow)
        and ((.metrics.counters.serve.queries - 1) as $cuts
             | .metrics.histograms.serve.query
             | [.shard0.answer_us.count, .shard1.answer_us.count, .merge_us.count]

@@ -34,17 +34,22 @@ fn seeded_records(seed: u64, n: usize, block_universe: u64) -> Vec<MissRecord<Mi
         .collect()
 }
 
-/// Prints one engine's full answer set as stable, diffable lines.
+/// Prints the full answer set of one engine, fed exactly `pushed`, as
+/// stable, diffable lines.
 ///
 /// # Panics
 ///
-/// Panics if the joint breakdown (the labelled walk over a grammar
-/// snapshot) disagrees with the stream counts (the counts-only walk
-/// over the live builder) on how many misses are repetitive.
-fn print_digest(label: &str, engine: &mut AnalysisEngine<MissClass>) {
+/// Panics if the joint breakdown (the labelled walk) disagrees with the
+/// stream counts (the counts-only walk) on how many misses are
+/// repetitive; both read the live builder.
+fn print_digest(
+    label: &str,
+    engine: &mut AnalysisEngine<MissClass>,
+    pushed: &[MissRecord<MissClass>],
+) {
     let s = engine.stream_counts();
     let c = engine.coverage();
-    let j = engine.joint_breakdown();
+    let j = engine.joint_breakdown(pushed);
     assert_eq!(
         j.non_repetitive_non_strided + j.non_repetitive_strided,
         s.non_repetitive,
@@ -116,14 +121,16 @@ fn main() {
         let records = seeded_records(seed, records_n, universe);
         let mut engine: AnalysisEngine<MissClass> = AnalysisEngine::new(config);
         let chunk_len = records.len().div_ceil(chunks).max(1);
+        let mut fed = 0usize;
         for chunk in records.chunks(chunk_len) {
             engine.push_records(chunk);
+            fed += chunk.len();
             // Interleaved mid-stream reads: these must not perturb the
             // final digest (memoization may only skip work, never
             // change an answer).
             let _ = engine.stream_counts();
-            let _ = engine.joint_breakdown();
+            let _ = engine.joint_breakdown(&records[..fed]);
         }
-        print_digest(name, &mut engine);
+        print_digest(name, &mut engine, &records);
     }
 }

@@ -4,32 +4,33 @@
 //! in [`crate::stages`], the online server's shards
 //! (`tempstream-serve`), and the server's offline verification
 //! comparator — runs on the one [`AnalysisEngine`] defined here. The
-//! engine owns the full incremental state of the characterization:
+//! engine owns the full incremental state of the characterization,
+//! and no copy of the records it was fed:
 //!
 //! - a live SEQUITUR builder over the block sequence (stream
-//!   detection), plus the retained record prefix its root walk labels;
+//!   detection), capped at [`EngineConfig::max_retained`] symbols;
 //! - an optional [`OnlineEvaluator`] driving the temporal prefetch
 //!   engine (coverage/accuracy) — present in the server's full
 //!   configuration, absent in the batch pipeline's streams-only mode
 //!   so `analyze_streams` pays for exactly what it reports;
 //! - a per-function miss counter ([`OriginTable`]: direct-indexed
 //!   dense array with a hashmap spill);
-//! - a monotone [`version()`](AnalysisEngine::version) and two
-//!   version-keyed memoized folds of the one root walk
-//!   ([`crate::streams`]), both reading the live builder in place: the
-//!   counts behind [`stream_counts`](AnalysisEngine::stream_counts) and
-//!   the per-miss labels behind
-//!   [`stream_analysis`](AnalysisEngine::stream_analysis). No path
-//!   copies the builder into a `Grammar` snapshot.
+//! - a monotone [`version()`](AnalysisEngine::version) keying the
+//!   memoized counts fold of the one root walk ([`crate::streams`])
+//!   behind [`stream_counts`](AnalysisEngine::stream_counts).
+//!
+//! Both folds read the live builder in place; the per-miss labels
+//! behind [`stream_analysis`](AnalysisEngine::stream_analysis) borrow
+//! the caller's records. No path copies the builder into a `Grammar`.
 //!
 //! # Feeding modes and bit-identity
 //!
 //! The engine is *incremental*: [`push_record`] /
 //! [`push_records`](AnalysisEngine::push_records) may be interleaved
-//! freely with the snapshot accessors. Because the live SEQUITUR
+//! freely with the accessors. Because the live SEQUITUR
 //! builder over an ingest prefix holds the batch grammar of that
 //! prefix, and the root walk is a pure function of (grammar, records),
-//! **any interleaving of pushes and snapshots yields bit-identical
+//! **any interleaving of pushes and reads yields bit-identical
 //! answers to one batch feed of the same records** — the differential
 //! property test (`crates/core/tests/engine_differential.rs`) and the
 //! `engine-diff` CI gate pin this for K-chunked feeds at K ∈ {1, 2, 7}.
@@ -39,15 +40,16 @@
 //! # Version / memoization contract
 //!
 //! [`version()`](AnalysisEngine::version) advances exactly once per
-//! applied record — i.e. exactly when observable state changes. Each
-//! walk's result is cached keyed by the version at which it ran, so
-//! any number of reads against a quiet engine cost O(1) and are
-//! guaranteed fresh: a stale answer would require the cache key to
+//! applied record — i.e. exactly when observable state changes. The
+//! counts walk's result is cached keyed by the version at which it
+//! ran, so any number of reads against a quiet engine cost O(1) and
+//! are guaranteed fresh: a stale answer would require the cache key to
 //! equal a version it was not computed at, which a monotone counter
-//! rules out. [`grammar_walks`] counts cache misses of both walks
+//! rules out. [`grammar_walks`] counts cache misses of that walk
 //! (actual root walks) so callers can *prove* the memoization — the
-//! server, which only reads counts, exports it as a gauge and its
-//! loopback tests pin exact walk counts.
+//! server exports it as a gauge and its loopback tests pin exact walk
+//! counts. The per-miss folds, read only by tests and gates, walk on
+//! every call.
 //!
 //! The shared zero-denominator guards [`frac`] / [`fracf`] (PR 3) are
 //! re-exported here as the engine-level definition every report type
@@ -60,6 +62,7 @@
 use crate::report::StrideJointReport;
 use crate::streams::StreamAnalysis;
 use crate::stride::StrideDetector;
+use std::marker::PhantomData;
 use tempstream_fxhash::FxHashMap;
 use tempstream_prefetch::{OnlineEvaluator, TemporalPrefetcher};
 use tempstream_sequitur::Sequitur;
@@ -83,8 +86,8 @@ pub struct EngineConfig {
     pub max_ahead: u32,
     /// Miss-log capacity of the temporal engine.
     pub log_capacity: usize,
-    /// Records retained for SEQUITUR analysis; ingest beyond this still
-    /// counts toward coverage and origins but no longer grows the
+    /// Grammar symbols the SEQUITUR builder takes: ingest beyond this
+    /// still counts toward coverage and origins but no longer grows the
     /// grammar (the batch pipeline's `max_analysis_misses` cap, applied
     /// per engine).
     pub max_retained: usize,
@@ -243,28 +246,21 @@ struct PrefetchEval {
 pub struct AnalysisEngine<C: Copy = MissClass> {
     config: EngineConfig,
     seq: Sequitur,
-    /// Records retained for grammar queries, in arrival order.
-    records: Vec<MissRecord<C>>,
     /// Highest cpu id seen (drives the root walk's per-cpu counters).
     max_cpu: u32,
     /// Coverage/accuracy component (`None` in streams-only mode).
     prefetch: Option<PrefetchEval>,
     origin_counts: OriginTable,
-    /// Every record ever pushed, retained or not.
+    /// Every record ever pushed, analyzed or not.
     ingested: u64,
-    /// Records past `max_retained` (analyzed for coverage/origins only).
-    overflow: u64,
     /// Counts fold of the root walk, memoized at a version.
     counts_cache: Option<(u64, StreamCounts)>,
-    /// Labelled fold of the root walk, memoized at a version; valid
-    /// while the engine has not ingested past it.
-    snapshot: Option<(u64, StreamAnalysis)>,
-    /// Joint stride × stream breakdown memoized at a version.
-    joint_cache: Option<(u64, StrideJointReport)>,
-    /// Grammar root walks performed (cache misses of either walk); the
-    /// server exports this as a gauge so tests can assert quiet engines
-    /// answer without walking.
+    /// Counts walks performed (cache misses); the server exports this
+    /// as a gauge so tests can assert quiet engines answer without
+    /// walking.
     walks: u64,
+    /// The record type the per-miss folds borrow back.
+    class: PhantomData<C>,
 }
 
 impl<C: Copy> AnalysisEngine<C> {
@@ -283,11 +279,11 @@ impl<C: Copy> AnalysisEngine<C> {
     }
 
     /// Creates an engine without the prefetch-evaluation component,
-    /// pre-sized for `capacity` records — the batch pipeline's mode,
-    /// where coverage is a separate concern (`tempstream-prefetch`
-    /// sweeps) and the grammar push loop must not pay for it. The
-    /// retention cap is lifted (`usize::MAX`): batch callers cap their
-    /// input with [`crate::stages::cap`] instead.
+    /// its builder pre-sized for `capacity` symbols — the batch
+    /// pipeline's mode, where coverage is a separate concern
+    /// (`tempstream-prefetch` sweeps) and the grammar push loop must not
+    /// pay for it. The retention cap is lifted (`usize::MAX`): batch
+    /// callers cap their input with [`crate::stages::cap`] instead.
     pub fn streams_only(capacity: usize) -> Self {
         Self::streams_only_with_config(
             EngineConfig {
@@ -302,16 +298,13 @@ impl<C: Copy> AnalysisEngine<C> {
         AnalysisEngine {
             config,
             seq: Sequitur::with_capacity(capacity),
-            records: Vec::with_capacity(capacity.min(config.max_retained)),
             max_cpu: 0,
             prefetch: None,
             origin_counts: OriginTable::new(),
             ingested: 0,
-            overflow: 0,
             counts_cache: None,
-            snapshot: None,
-            joint_cache: None,
             walks: 0,
+            class: PhantomData,
         }
     }
 
@@ -326,11 +319,8 @@ impl<C: Copy> AnalysisEngine<C> {
         if let Some(p) = &mut self.prefetch {
             p.eval.observe(&mut p.prefetcher, record.cpu, record.block);
         }
-        if self.records.len() < self.config.max_retained {
+        if self.seq.input_len() < self.config.max_retained as u64 {
             self.seq.push(record.block.raw());
-            self.records.push(*record);
-        } else {
-            self.overflow += 1;
         }
     }
 
@@ -355,33 +345,47 @@ impl<C: Copy> AnalysisEngine<C> {
         self.ingested
     }
 
-    /// Records past the retention cap.
+    /// Records the grammar took: its SEQUITUR symbols.
+    pub fn analyzed(&self) -> u64 {
+        self.seq.input_len()
+    }
+
+    /// Records past the retention cap (analyzed for coverage and
+    /// origins only): `ingested() - analyzed()`.
     pub fn overflow(&self) -> u64 {
-        self.overflow
+        self.ingested - self.analyzed()
     }
 
     /// Grammar root walks performed so far — i.e. misses of the
-    /// memoized counts walk and of the memoized labelled walk. Tests use
-    /// this to prove version-keyed caching: querying a quiet engine must
-    /// not move it.
+    /// memoized counts walk. Tests use this to prove version-keyed
+    /// caching: querying a quiet engine must not move it.
     pub fn grammar_walks(&self) -> u64 {
         self.walks
     }
 
+    /// The prefix of `records`, which must be every record pushed so
+    /// far, that the grammar took.
+    fn analyzed_prefix<'r>(&self, records: &'r [MissRecord<C>]) -> &'r [MissRecord<C>] {
+        assert_eq!(
+            records.len() as u64,
+            self.ingested,
+            "the per-miss folds take every record pushed so far"
+        );
+        &records[..self.analyzed() as usize]
+    }
+
     /// The full root-walk analysis (labels, occurrences, distributions)
-    /// of the retained records at the current version — bit-identical
-    /// to batch-analyzing those records. The labelled fold of the root
-    /// walk (`streams::label_streams`) over the live builder, read in
-    /// place; memoized per the module-level version contract.
-    pub fn stream_analysis(&mut self) -> &StreamAnalysis {
-        let fresh = matches!(&self.snapshot, Some((v, _)) if *v == self.ingested);
-        if !fresh {
-            let analysis =
-                crate::streams::label_streams(&self.seq, &self.records, self.max_cpu + 1);
-            self.snapshot = Some((self.ingested, analysis));
-            self.walks += 1;
-        }
-        &self.snapshot.as_ref().expect("refreshed above").1
+    /// of the analyzed prefix of `records` — bit-identical to
+    /// batch-analyzing that prefix. The labelled fold of the root walk
+    /// (`streams::label_streams`) over the live builder, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `records` holds exactly as many records as were
+    /// pushed (it must be those records, in order).
+    pub fn stream_analysis(&self, records: &[MissRecord<C>]) -> StreamAnalysis {
+        let analyzed = self.analyzed_prefix(records);
+        crate::streams::label_streams(&self.seq, analyzed, self.max_cpu + 1)
     }
 
     /// Stream-fraction counts at the current version: the counts fold
@@ -402,17 +406,11 @@ impl<C: Copy> AnalysisEngine<C> {
     }
 
     /// The joint repetitive × strided breakdown (Figure 3) over the
-    /// retained records, memoized on the same version key.
-    pub fn joint_breakdown(&mut self) -> StrideJointReport {
-        if let Some((version, joint)) = self.joint_cache {
-            if version == self.ingested {
-                return joint;
-            }
-        }
-        let flags = StrideDetector::of_records(&self.records, self.max_cpu + 1);
-        let joint = crate::stages::joint_breakdown(self.stream_analysis().labels(), flags.flags());
-        self.joint_cache = Some((self.ingested, joint));
-        joint
+    /// analyzed prefix of `records`; panics like
+    /// [`stream_analysis`](Self::stream_analysis).
+    pub fn joint_breakdown(&self, records: &[MissRecord<C>]) -> StrideJointReport {
+        let flags = StrideDetector::of_records(self.analyzed_prefix(records), self.max_cpu + 1);
+        crate::stages::joint_breakdown(self.stream_analysis(records).labels(), flags.flags())
     }
 
     /// Prefetch coverage counters accumulated so far (all zero in
@@ -437,14 +435,12 @@ impl<C: Copy> AnalysisEngine<C> {
         &self.origin_counts
     }
 
-    /// Drops the memoized walks so the next accessor re-walks the
+    /// Drops the memoized counts walk so the next read re-walks the
     /// grammar from scratch (a testing aid: cache-consistency tests
     /// compare the cached answer against a forced fresh walk).
     #[doc(hidden)]
     pub fn invalidate_snapshot(&mut self) {
         self.counts_cache = None;
-        self.snapshot = None;
-        self.joint_cache = None;
     }
 
     /// Current size of the SEQUITUR digram index (builder footprint).
@@ -490,7 +486,7 @@ pub fn batch_stream_analysis<C: Copy>(records: &[MissRecord<C>], num_cpus: u32) 
         .gauge("sequitur/node_arena")
         .set_max(engine.node_arena_len() as u64);
     // What follows reads only the grammar and `records`: free the rest
-    // of the engine (its record copy, the digram index) first.
+    // of the builder (the digram index) first.
     let grammar = std::mem::take(&mut engine.seq).freeze();
     drop(engine);
     tempstream_sequitur::GrammarStats::of(&grammar).export(registry, "sequitur");
@@ -611,6 +607,7 @@ mod tests {
         }
         assert_eq!(engine.ingested(), 10);
         assert_eq!(engine.overflow(), 6);
+        assert_eq!(engine.analyzed(), 4, "the cap counts grammar symbols");
         assert_eq!(engine.stream_counts().total(), 4, "grammar capped");
         assert_eq!(engine.coverage().total, 10, "coverage uncapped");
     }
@@ -637,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn joint_breakdown_matches_batch_and_is_memoized() {
+    fn joint_breakdown_matches_batch() {
         // Strided run [10,11,12,13] plus a repeated pair.
         let blocks = [10u64, 11, 12, 13, 1, 2, 7, 1, 2];
         let records: Vec<_> = blocks.iter().map(|&b| record(b, 0, 0)).collect();
@@ -646,10 +643,16 @@ mod tests {
         let streams = crate::stages::analyze_streams(&records, 1);
         let flags = crate::stages::analyze_strides(&records, 1);
         let want = crate::stages::joint_breakdown(&streams.labels, &flags);
-        assert_eq!(engine.joint_breakdown(), want);
-        let walks = engine.grammar_walks();
-        assert_eq!(engine.joint_breakdown(), want, "memoized answer stable");
-        assert_eq!(engine.grammar_walks(), walks, "no re-walk while quiet");
+        assert_eq!(engine.joint_breakdown(&records), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "the per-miss folds take every record pushed so far")]
+    fn per_miss_folds_refuse_records_other_than_those_pushed() {
+        let records: Vec<_> = (0..6u64).map(|b| record(b % 2, 0, 0)).collect();
+        let mut engine: AnalysisEngine = AnalysisEngine::new(EngineConfig::default());
+        engine.push_records(&records);
+        let _ = engine.stream_analysis(&records[..5]);
     }
 
     #[test]

@@ -42,18 +42,30 @@ struct FullSnapshot {
     coverage: CoverageCounts,
     joint: StrideJointReport,
     top_origins: Vec<(u32, u64)>,
+    analyzed: u64,
     overflow: u64,
 }
 
-fn snapshot(engine: &mut AnalysisEngine<MissClass>) -> FullSnapshot {
-    FullSnapshot {
+/// Snapshots `engine`, which has been fed exactly `pushed`.
+fn snapshot(
+    engine: &mut AnalysisEngine<MissClass>,
+    pushed: &[MissRecord<MissClass>],
+) -> FullSnapshot {
+    let s = FullSnapshot {
         version: engine.version(),
         streams: engine.stream_counts(),
         coverage: engine.coverage(),
-        joint: engine.joint_breakdown(),
+        joint: engine.joint_breakdown(pushed),
         top_origins: engine.origin_table().top_n(8),
+        analyzed: engine.analyzed(),
         overflow: engine.overflow(),
-    }
+    };
+    assert_eq!(
+        s.analyzed + s.overflow,
+        s.version,
+        "every record is analyzed or overflow"
+    );
+    s
 }
 
 /// Feeds `records` in `k` chunks, snapshotting after every chunk
@@ -62,24 +74,30 @@ fn snapshot(engine: &mut AnalysisEngine<MissClass>) -> FullSnapshot {
 fn chunked_feed(records: &[MissRecord<MissClass>], k: usize, config: EngineConfig) -> FullSnapshot {
     let mut engine: AnalysisEngine<MissClass> = AnalysisEngine::new(config);
     let chunk = records.len().div_ceil(k).max(1);
+    let mut fed = 0usize;
     for c in records.chunks(chunk) {
         engine.push_record(&c[0]);
         engine.push_records(&c[1..]);
+        fed += c.len();
         // Mid-stream snapshots must not perturb later answers.
-        let s = snapshot(&mut engine);
+        let s = snapshot(&mut engine, &records[..fed]);
         assert_eq!(s.version, engine.ingested(), "snapshot at the cut");
         // A second read of the quiet engine is a pure cache hit.
         let walks = engine.grammar_walks();
-        assert_eq!(snapshot(&mut engine), s, "idempotent snapshot");
+        assert_eq!(
+            snapshot(&mut engine, &records[..fed]),
+            s,
+            "idempotent snapshot"
+        );
         assert_eq!(engine.grammar_walks(), walks, "quiet re-read walks nothing");
     }
-    snapshot(&mut engine)
+    snapshot(&mut engine, records)
 }
 
 fn batch_feed(records: &[MissRecord<MissClass>], config: EngineConfig) -> FullSnapshot {
     let mut engine: AnalysisEngine<MissClass> = AnalysisEngine::new(config);
     engine.push_records(records);
-    snapshot(&mut engine)
+    snapshot(&mut engine, records)
 }
 
 #[test]
@@ -109,6 +127,7 @@ fn chunked_feeds_match_batch_under_retention_cap() {
     };
     let want = batch_feed(&records, config);
     assert_eq!(want.overflow, (900 - 256) as u64);
+    assert_eq!(want.analyzed, 256);
     for k in [2usize, 7] {
         assert_eq!(chunked_feed(&records, k, config), want, "k={k}");
     }
@@ -126,7 +145,7 @@ fn chunked_snapshots_equal_batch_prefix_snapshots() {
         engine.push_records(&records[fed..cut]);
         fed = cut;
         assert_eq!(
-            snapshot(&mut engine),
+            snapshot(&mut engine, &records[..cut]),
             batch_feed(&records[..cut], config),
             "prefix {cut}"
         );
@@ -137,7 +156,7 @@ fn chunked_snapshots_equal_batch_prefix_snapshots() {
 fn degenerate_empty_trace() {
     let config = EngineConfig::default();
     let mut engine: AnalysisEngine<MissClass> = AnalysisEngine::new(config);
-    let s = snapshot(&mut engine);
+    let s = snapshot(&mut engine, &[]);
     assert_eq!(s.version, 0);
     assert_eq!(s.streams, StreamCounts::default());
     assert_eq!(s.coverage, CoverageCounts::default());
@@ -146,7 +165,7 @@ fn degenerate_empty_trace() {
     assert_eq!(s, batch_feed(&[], config));
     // Pushing an empty batch is a no-op at the same version.
     engine.push_records(&[]);
-    assert_eq!(snapshot(&mut engine), s);
+    assert_eq!(snapshot(&mut engine, &[]), s);
 }
 
 #[test]
@@ -212,9 +231,9 @@ fn engine_snapshot_matches_batch_stages() {
 
     let flags = tempstream_core::stages::analyze_strides(&records, num_cpus);
     let want_joint = tempstream_core::stages::joint_breakdown(&partial.labels, &flags);
-    assert_eq!(engine.joint_breakdown(), want_joint);
+    assert_eq!(engine.joint_breakdown(&records), want_joint);
 
-    let analysis = engine.stream_analysis();
+    let analysis = engine.stream_analysis(&records);
     assert_eq!(analysis.labels(), partial.labels.as_slice());
 }
 
@@ -272,17 +291,19 @@ fn assert_occurrences_match(live: &[StreamOccurrence], snapshot: &[StreamOccurre
     }
 }
 
-/// Asserts that both live folds of `engine` agree with the snapshot walk
-/// of `seq`, which must have been fed exactly the blocks of `retained`.
+/// Asserts that both live folds of `engine`, which has been fed exactly
+/// `pushed`, agree with the snapshot walk of `seq`, which must have been
+/// fed exactly the blocks of `retained`.
 fn assert_live_matches_snapshot<C: Copy>(
     engine: &mut AnalysisEngine<C>,
+    pushed: &[MissRecord<C>],
     seq: &Sequitur,
     retained: &[MissRecord<C>],
     what: &str,
 ) {
     let want = snapshot_analysis(seq, retained);
     assert_eq!(engine.stream_counts(), labelled_counts(&want), "{what}");
-    let live = engine.stream_analysis();
+    let live = engine.stream_analysis(pushed);
     assert_eq!(live.labels(), want.labels(), "{what}: labels");
     assert_eq!(
         live.distinct_streams(),
@@ -314,6 +335,7 @@ fn assert_walks_agree_chunked<C: Copy>(
         }
         assert_live_matches_snapshot(
             &mut engine,
+            &records[..fed],
             &seq,
             retained,
             &format!("{what}: k={k} prefix {fed}"),
@@ -321,6 +343,7 @@ fn assert_walks_agree_chunked<C: Copy>(
     }
     assert_live_matches_snapshot(
         &mut engine,
+        records,
         &seq,
         &records[..records.len().min(config.max_retained)],
         &format!("{what}: k={k} final"),

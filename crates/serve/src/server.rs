@@ -425,6 +425,9 @@ struct ShardPart {
     /// A copy of the origin table, when the request's `origins` names
     /// this shard.
     origins: Option<OriginTable>,
+    /// Records the shard's grammar took (its SEQUITUR symbols).
+    analyzed: u64,
+    /// Records past the shard's retention cap.
     overflow: u64,
     grammar_walks: u64,
     /// From the marker push until this part was ready.
@@ -449,6 +452,7 @@ impl ShardPart {
             streams,
             coverage: engine.coverage(),
             origins,
+            analyzed: engine.analyzed(),
             overflow: engine.overflow(),
             grammar_walks: engine.grammar_walks(),
             answer: cut.pushed.elapsed(),
@@ -731,6 +735,11 @@ impl Shared {
         self.registry
             .gauge("serve/records/in_state")
             .set(sum(|p| p.ingested));
+        // Every record in state is in a grammar or past its shard's
+        // cap: `in_state == analysis/symbols + records/overflow`.
+        self.registry
+            .gauge("serve/analysis/symbols")
+            .set(sum(|p| p.analyzed));
         self.registry
             .gauge("serve/records/overflow")
             .set(sum(|p| p.overflow));

@@ -557,102 +557,175 @@ fn ingest_pipelined(
     (effective, acc)
 }
 
+/// Pipelines `records` into a fresh `shards`-way server running `shard`
+/// and checks every answer, absolute and telescoped from the deltas,
+/// against the offline comparator run with the same config. Returns a
+/// reader of the metrics snapshot taken after the checks.
+fn pipelined_answers_match_offline(
+    records: &[MissRecord<MissClass>],
+    shards: usize,
+    shard: ShardConfig,
+) -> impl Fn(&str) -> u64 {
+    let (addr, handle) = start_server(ServerConfig {
+        shards,
+        shard,
+        ..ServerConfig::default()
+    });
+    let mut conn = connect(&addr);
+    let (effective, acc) = ingest_pipelined(&mut conn, records, 128, 8, 5);
+    assert_eq!(effective.len(), records.len(), "shards={shards}");
+    assert_eq!(acc.applied, records.len() as u64, "shards={shards}");
+
+    // The offline comparator runs over the ack-order record
+    // sequence (identical to send order on one connection, but
+    // reconstructing it keeps the check honest).
+    let want = offline::expected(&effective, shards, shard, 8);
+
+    // Absolute queries on the same connection, and the telescoped
+    // delta sums equal those absolutes exactly.
+    match call(&mut conn, &Frame::QueryStreamFraction) {
+        Frame::StreamFractionReply {
+            non_repetitive,
+            new_stream,
+            recurring_stream,
+            distinct_streams,
+        } => {
+            assert_eq!(
+                (
+                    non_repetitive,
+                    new_stream,
+                    recurring_stream,
+                    distinct_streams
+                ),
+                (
+                    want.streams.non_repetitive,
+                    want.streams.new_stream,
+                    want.streams.recurring_stream,
+                    want.streams.distinct_streams
+                ),
+                "shards={shards}"
+            );
+            assert_eq!(
+                (
+                    acc.non_repetitive,
+                    acc.new_stream,
+                    acc.recurring_stream,
+                    acc.distinct_streams
+                ),
+                (
+                    signed(non_repetitive),
+                    signed(new_stream),
+                    signed(recurring_stream),
+                    signed(distinct_streams)
+                ),
+                "shards={shards}: deltas telescope to the absolutes"
+            );
+        }
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    match call(&mut conn, &Frame::QueryCoverage) {
+        Frame::CoverageReply {
+            total,
+            covered,
+            issued,
+        } => {
+            assert_eq!(
+                (acc.total, acc.covered, acc.issued),
+                (signed(total), signed(covered), signed(issued)),
+                "shards={shards}"
+            );
+            assert_eq!(
+                (total, covered, issued),
+                (
+                    want.coverage.total,
+                    want.coverage.covered,
+                    want.coverage.issued
+                ),
+                "shards={shards}"
+            );
+        }
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    match call(&mut conn, &Frame::QueryTopOrigins(8)) {
+        Frame::TopOriginsReply(rows) => assert_eq!(rows, want.top_origins, "shards={shards}"),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    // Origin deltas sum to a straight per-function recount, whose top
+    // rows are the comparator's.
+    let mut want_origins: HashMap<u32, i64> = HashMap::new();
+    for r in &effective {
+        *want_origins.entry(r.function.raw()).or_insert(0) += 1;
+    }
+    let got_origins: HashMap<u32, i64> = acc
+        .origins
+        .iter()
+        .filter(|&(_, &n)| n != 0)
+        .map(|(&id, &n)| (id, n))
+        .collect();
+    assert_eq!(got_origins, want_origins, "shards={shards}");
+    let mut top: Vec<(u32, u64)> = got_origins
+        .iter()
+        .map(|(&id, &n)| (id, u64::try_from(n).expect("counts never fall")))
+        .collect();
+    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    top.truncate(8);
+    assert_eq!(
+        top, want.top_origins,
+        "shards={shards}: telescoped top origins"
+    );
+
+    // A quiescent connection's next delta is empty, at the same
+    // watermark — the version fast path, observable as a no-op.
+    let quiet = query_delta(&mut conn);
+    assert!(quiet.is_empty(), "shards={shards}: {quiet:?}");
+    assert_eq!(quiet.applied, records.len() as u64, "shards={shards}");
+
+    let at = metrics(&mut conn);
+    shutdown(&mut conn);
+    handle.join().expect("server thread").expect("server run");
+    at
+}
+
 #[test]
 fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
     let records = seeded_records(0x9a9a, 2400);
     for shards in [1usize, 2, 4] {
-        let (addr, handle) = start_server(ServerConfig {
-            shards,
-            ..ServerConfig::default()
-        });
-        let mut conn = connect(&addr);
-        let (effective, acc) = ingest_pipelined(&mut conn, &records, 128, 8, 5);
-        assert_eq!(effective.len(), records.len(), "shards={shards}");
-        assert_eq!(acc.applied, records.len() as u64, "shards={shards}");
+        let at = pipelined_answers_match_offline(&records, shards, ShardConfig::default());
+        // Under the cap every record is a grammar symbol.
+        assert_eq!(at("gauges/serve/records/overflow"), 0, "shards={shards}");
+        assert_eq!(
+            at("gauges/serve/analysis/symbols"),
+            records.len() as u64,
+            "shards={shards}"
+        );
+    }
+}
 
-        // The offline comparator runs over the ack-order record
-        // sequence (identical to send order on one connection, but
-        // reconstructing it keeps the check honest).
-        let want = offline::expected(&effective, shards, ShardConfig::default(), 8);
-
-        // Absolute queries on the same connection, and the telescoped
-        // delta sums equal those absolutes exactly.
-        match call(&mut conn, &Frame::QueryStreamFraction) {
-            Frame::StreamFractionReply {
-                non_repetitive,
-                new_stream,
-                recurring_stream,
-                distinct_streams,
-            } => {
-                assert_eq!(
-                    (
-                        non_repetitive,
-                        new_stream,
-                        recurring_stream,
-                        distinct_streams
-                    ),
-                    (
-                        want.streams.non_repetitive,
-                        want.streams.new_stream,
-                        want.streams.recurring_stream,
-                        want.streams.distinct_streams
-                    ),
-                    "shards={shards}"
-                );
-                assert_eq!(
-                    (
-                        acc.non_repetitive,
-                        acc.new_stream,
-                        acc.recurring_stream,
-                        acc.distinct_streams
-                    ),
-                    (
-                        signed(non_repetitive),
-                        signed(new_stream),
-                        signed(recurring_stream),
-                        signed(distinct_streams)
-                    ),
-                    "shards={shards}: deltas telescope to the absolutes"
-                );
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        match call(&mut conn, &Frame::QueryCoverage) {
-            Frame::CoverageReply {
-                total,
-                covered,
-                issued,
-            } => {
-                assert_eq!(
-                    (acc.total, acc.covered, acc.issued),
-                    (signed(total), signed(covered), signed(issued)),
-                    "shards={shards}"
-                );
-                assert_eq!(total, want.coverage.total, "shards={shards}");
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        // Origin deltas sum to a straight per-function recount.
-        let mut want_origins: HashMap<u32, i64> = HashMap::new();
-        for r in &effective {
-            *want_origins.entry(r.function.raw()).or_insert(0) += 1;
-        }
-        let got_origins: HashMap<u32, i64> = acc
-            .origins
-            .iter()
-            .filter(|&(_, &n)| n != 0)
-            .map(|(&id, &n)| (id, n))
-            .collect();
-        assert_eq!(got_origins, want_origins, "shards={shards}");
-
-        // A quiescent connection's next delta is empty, at the same
-        // watermark — the version fast path, observable as a no-op.
-        let quiet = query_delta(&mut conn);
-        assert!(quiet.is_empty(), "shards={shards}: {quiet:?}");
-        assert_eq!(quiet.applied, records.len() as u64, "shards={shards}");
-
-        shutdown(&mut conn);
-        handle.join().expect("server thread").expect("server run");
+/// Ingest past the retention cap: each shard's grammar stops at the
+/// cap while coverage and origins count every record, and every answer
+/// still equals the offline comparator's. The metrics snapshot accounts
+/// for every record in state as a grammar symbol or as overflow.
+#[test]
+fn answers_past_the_retention_cap_match_offline_at_1_and_2_shards() {
+    const CAP: usize = 400;
+    let records = seeded_records(0xca9_ca9, 3000);
+    let shard = ShardConfig {
+        max_retained: CAP,
+        ..ShardConfig::default()
+    };
+    for shards in [1usize, 2] {
+        let at = pipelined_answers_match_offline(&records, shards, shard);
+        let in_state = at("gauges/serve/records/in_state");
+        let symbols = at("gauges/serve/analysis/symbols");
+        let overflow = at("gauges/serve/records/overflow");
+        assert_eq!(in_state, records.len() as u64, "shards={shards}");
+        assert_eq!(
+            symbols,
+            (shards * CAP) as u64,
+            "shards={shards}: every shard is past its cap"
+        );
+        assert!(overflow > 0, "shards={shards}");
+        assert_eq!(in_state, symbols + overflow, "shards={shards}");
     }
 }
 
